@@ -525,36 +525,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 return 2
         sink = (make_sink(args.trace, args.trace_format)
                 if args.trace is not None else None)
+        common = dict(stop=stop, faults=faults, injector=injector,
+                      strict=args.strict, trace=sink,
+                      trace_metric=(spec.metric if sink is not None
+                                    else None),
+                      trace_reference=(reference if sink is not None
+                                       else None))
         try:
             if args.executor == "simulated":
                 result = automaton.run_simulated(
-                    total_cores=args.cores,
-                    schedule=spec.schedule,
-                    stop=stop,
-                    dynamic_shares=args.dynamic,
-                    faults=faults,
-                    injector=injector,
-                    strict=args.strict,
-                    trace=sink,
-                    trace_metric=(spec.metric if sink is not None
-                                  else None),
-                    trace_reference=(reference if sink is not None
-                                     else None))
+                    total_cores=args.cores, schedule=spec.schedule,
+                    dynamic_shares=args.dynamic, **common)
+            elif args.executor == "threaded":
+                result = automaton.run_threaded(timeout_s=args.timeout_s,
+                                                **common)
             else:
-                runner = (automaton.run_threaded
-                          if args.executor == "threaded"
-                          else automaton.run_processes)
-                result = runner(
-                    stop=stop,
-                    timeout_s=args.timeout_s,
-                    faults=faults,
-                    injector=injector,
-                    strict=args.strict,
-                    trace=sink,
-                    trace_metric=(spec.metric if sink is not None
-                                  else None),
-                    trace_reference=(reference if sink is not None
-                                     else None))
+                result = automaton.run_processes(timeout_s=args.timeout_s,
+                                                 **common)
         finally:
             if sink is not None:
                 sink.close()

@@ -128,11 +128,6 @@ class AnytimeAutomaton:
         """True when this automaton was built by :meth:`restore`."""
         return self._resume_info is not None
 
-    def _bind_executor(self, executor: Any) -> None:
-        """Stamp checkpoint identity onto an executor before launch."""
-        executor.run_name = self.name
-        executor.app_spec = self.app_spec
-
     # -- references ------------------------------------------------------
 
     @property
@@ -193,20 +188,12 @@ class AnytimeAutomaton:
         command leases (``1`` disables batching — outputs are
         bit-identical either way, see :class:`~repro.core.stage.Lease`).
         """
-        self._claim_run()
-        executor = SimulatedExecutor(self.graph, total_cores=total_cores,
-                                     schedule=schedule, stop=stop,
-                                     watch=watch,
-                                     dynamic_shares=dynamic_shares,
-                                     faults=faults, injector=injector,
-                                     strict=strict, trace=trace,
-                                     trace_metric=trace_metric,
-                                     trace_reference=trace_reference,
-                                     lease_k=lease_k,
-                                     resume=self._resume_info,
-                                     checkpoint_at_stop=checkpoint_at_stop)
-        self._bind_executor(executor)
-        return executor.run()
+        return self._executor(
+            SimulatedExecutor, total_cores=total_cores, schedule=schedule,
+            stop=stop, watch=watch, dynamic_shares=dynamic_shares,
+            faults=faults, injector=injector, strict=strict, trace=trace,
+            trace_metric=trace_metric, trace_reference=trace_reference,
+            lease_k=lease_k, checkpoint_at_stop=checkpoint_at_stop).run()
 
     def run_threaded(self, stop: StopCondition | None = None,
                      watch: set[str] | None = None,
@@ -227,16 +214,11 @@ class AnytimeAutomaton:
         ``trace``/``trace_metric``/``trace_reference`` the observability
         layer (see :mod:`repro.core.tracing`).
         """
-        self._claim_run()
-        executor = ThreadedExecutor(self.graph, stop=stop, watch=watch,
-                                    faults=faults, injector=injector,
-                                    strict=strict, trace=trace,
-                                    trace_metric=trace_metric,
-                                    trace_reference=trace_reference,
-                                    lease_k=lease_k,
-                                    resume=self._resume_info)
-        self._bind_executor(executor)
-        return executor.run(timeout_s=timeout_s)
+        return self._executor(
+            ThreadedExecutor, stop=stop, watch=watch, faults=faults,
+            injector=injector, strict=strict, trace=trace,
+            trace_metric=trace_metric, trace_reference=trace_reference,
+            lease_k=lease_k).run(timeout_s=timeout_s)
 
     def run_processes(self, stop: StopCondition | None = None,
                       watch: set[str] | None = None,
@@ -263,16 +245,11 @@ class AnytimeAutomaton:
         """
         from .procexec import ProcessExecutor
 
-        self._claim_run()
-        executor = ProcessExecutor(self.graph, stop=stop, watch=watch,
-                                   faults=faults, injector=injector,
-                                   strict=strict, trace=trace,
-                                   trace_metric=trace_metric,
-                                   trace_reference=trace_reference,
-                                   grace_s=grace_s, lease_k=lease_k,
-                                   resume=self._resume_info)
-        self._bind_executor(executor)
-        return executor.run(timeout_s=timeout_s)
+        return self._executor(
+            ProcessExecutor, stop=stop, watch=watch, faults=faults,
+            injector=injector, strict=strict, trace=trace,
+            trace_metric=trace_metric, trace_reference=trace_reference,
+            grace_s=grace_s, lease_k=lease_k).run(timeout_s=timeout_s)
 
     def launch_threaded(self, stop: StopCondition | None = None,
                         watch: set[str] | None = None,
@@ -293,16 +270,11 @@ class AnytimeAutomaton:
         pause, resume, stop and collect the run at any moment, and the
         output buffer always holds a valid approximation.
         """
-        self._claim_run()
-        executor = ThreadedExecutor(self.graph, stop=stop, watch=watch,
-                                    faults=faults, injector=injector,
-                                    strict=strict, trace=trace,
-                                    trace_metric=trace_metric,
-                                    trace_reference=trace_reference,
-                                    lease_k=lease_k,
-                                    resume=self._resume_info)
-        self._bind_executor(executor)
-        return executor.launch()
+        return self._executor(
+            ThreadedExecutor, stop=stop, watch=watch, faults=faults,
+            injector=injector, strict=strict, trace=trace,
+            trace_metric=trace_metric, trace_reference=trace_reference,
+            lease_k=lease_k).launch()
 
     def launch_processes(self, stop: StopCondition | None = None,
                          watch: set[str] | None = None,
@@ -321,23 +293,24 @@ class AnytimeAutomaton:
         :meth:`launch_threaded` for the preemption semantics)."""
         from .procexec import ProcessExecutor
 
-        self._claim_run()
-        executor = ProcessExecutor(self.graph, stop=stop, watch=watch,
-                                   faults=faults, injector=injector,
-                                   strict=strict, trace=trace,
-                                   trace_metric=trace_metric,
-                                   trace_reference=trace_reference,
-                                   grace_s=grace_s, lease_k=lease_k,
-                                   resume=self._resume_info)
-        self._bind_executor(executor)
-        return executor.launch()
+        return self._executor(
+            ProcessExecutor, stop=stop, watch=watch, faults=faults,
+            injector=injector, strict=strict, trace=trace,
+            trace_metric=trace_metric, trace_reference=trace_reference,
+            grace_s=grace_s, lease_k=lease_k).launch()
 
-    def _claim_run(self) -> None:
+    def _executor(self, cls: type, **kwargs: Any) -> Any:
+        """Build this automaton's one executor, stamped with the
+        checkpoint identity (automata are single-use)."""
         if self._ran:
             raise RuntimeError(
                 f"automaton {self.name!r} was already executed; build a "
                 f"fresh one per run")
         self._ran = True
+        executor = cls(self.graph, resume=self._resume_info, **kwargs)
+        executor.run_name = self.name
+        executor.app_spec = self.app_spec
+        return executor
 
     # -- analysis -----------------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Real-machine threaded execution of anytime automata.
 
-One thread per stage, interpreting the same command protocol as the
-simulated executor, but against wall-clock time: :class:`Compute` is a
-no-op (the actual NumPy work happens inside the stage generator between
-yields), waits block on buffer condition variables, and channels use their
-built-in blocking operations.
+One thread per stage, each driving its generator through the shared
+interpreter loop (:func:`repro.core.semantics.pump`) against wall-clock
+time: :class:`Compute` is a no-op (the actual NumPy work happens inside
+the stage generator between yields), waits block on buffer events, and
+channels use their built-in blocking operations.
 
 This executor exists for what simulation cannot give — genuine
 interactive interruption on a live machine (stop the automaton the moment
@@ -33,27 +33,25 @@ from typing import Any
 from .buffer import Snapshot
 from .channel import ChannelClosed
 from .controller import StopCondition
-from .faults import (FaultInjector, FaultPolicy, StageReport,
-                     resolve_policy)
+from .faults import FaultInjector, FaultPolicy, StageReport
 from .graph import AutomatonGraph
-from .recording import Timeline, WriteRecord
-from .stage import (CHANNEL_END, CloseChannel, Compute, Emit, Lease,
-                    PollInputs, Recv, WaitInputs, Write)
-from .syncstage import SynchronousStage
-from .tracing import TraceEvent, TraceSink, active_sink
+from .recording import Timeline
+from .semantics import (HALT, ResultView, StageRules, compute_energy,
+                        poll_inputs, pump, try_wait)
+from .stage import CHANNEL_END
+from .tracing import TraceSink
 
 __all__ = ["ThreadedExecutor", "ThreadedResult", "RunHandle"]
 
 _POLL_S = 0.005
 
-#: sentinel from ``_wait_inputs``: every input is final or sealed and no
-#: unseen version exists, so the wait can never be satisfied
-_EXHAUSTED = object()
+#: a blocking attempt that has to be retried
+_AGAIN = object()
 
 
 @dataclass
-class ThreadedResult:
-    """Outcome of one threaded run (times are wall seconds from start).
+class ThreadedResult(ResultView):
+    """Outcome of one wall-clock run (times are wall seconds from start).
 
     ``completed`` means every stage ran its generator to the natural
     end; ``stopped_early`` means a stop condition, user interrupt or
@@ -68,18 +66,6 @@ class ThreadedResult:
     final_values: dict[str, Any] = field(default_factory=dict)
     errors: list[tuple[str, BaseException]] = field(default_factory=list)
     stage_reports: dict[str, StageReport] = field(default_factory=dict)
-
-    def output_records(self, buffer: str) -> list[WriteRecord]:
-        return self.timeline.for_buffer(buffer)
-
-    @property
-    def degraded_stages(self) -> list[str]:
-        return sorted(n for n, r in self.stage_reports.items()
-                      if r.degraded)
-
-    @property
-    def failed_stages(self) -> list[str]:
-        return sorted(n for n, r in self.stage_reports.items() if r.failed)
 
 
 class RunHandle:
@@ -182,7 +168,64 @@ class RunHandle:
         return self.executor._finalize()
 
 
-class ThreadedExecutor:
+class WallClockRules(StageRules):
+    """What the two wall-clock executors share beyond the stage rules:
+    the run clock and collecting the result once every stage is down."""
+
+    def __init__(self, graph: AutomatonGraph, **kwargs: Any) -> None:
+        super().__init__(graph, **kwargs)
+        self._t0 = 0.0
+        self._ended_at: float | None = None
+        self._final_lock = threading.Lock()
+        self._final_result: ThreadedResult | None = None
+
+    def _now(self) -> float:
+        # resumed runs continue the interrupted run's clock, so the
+        # combined timeline stays monotone across the checkpoint
+        return _time.perf_counter() - self._t0 + self._t_offset
+
+    def _stopping(self) -> bool:
+        raise NotImplementedError
+
+    def _refuse_checkpoint(self, launched: bool) -> None:
+        """Raise unless the run is launched and not stopping (a
+        stopping run seals every buffer, which is unrecoverable)."""
+        from ..ckpt.format import CheckpointError
+
+        if not launched:
+            raise CheckpointError(
+                "cannot checkpoint: the run was never launched")
+        if self._stopping():
+            raise CheckpointError(
+                "cannot checkpoint a stopping run: shutdown seals "
+                "every buffer (checkpoint before request_stop)")
+
+    def _final_values(self) -> dict[str, Any]:
+        return {b.name: b.snapshot().value
+                for b in self.graph.buffers.values()}
+
+    def _finalize(self) -> ThreadedResult:
+        """Assemble the result after every stage has wound down."""
+        with self._final_lock:
+            if self._final_result is None:
+                ended = (self._ended_at if self._ended_at is not None
+                         else _time.perf_counter())
+                stopped = self._stopping()
+                if stopped:
+                    self._shutdown_io()
+                self._final_result = ThreadedResult(
+                    timeline=self._whole_timeline(),
+                    duration=ended - self._t0 + self._t_offset,
+                    completed=self._completed(stopped),
+                    stopped_early=stopped,
+                    final_values=self._final_values(),
+                    errors=list(self._errors),
+                    stage_reports=dict(self._reports))
+            self._raise_if_strict()
+            return self._final_result
+
+
+class ThreadedExecutor(WallClockRules):
     """Runs an :class:`AutomatonGraph` on real threads.
 
     Parameters mirror the simulated executor where meaningful; there is
@@ -216,6 +259,8 @@ class ThreadedExecutor:
         bit-identical at any setting.
     """
 
+    label = "threaded"
+
     def __init__(self, graph: AutomatonGraph,
                  stop: StopCondition | None = None,
                  watch: set[str] | None = None,
@@ -227,26 +272,11 @@ class ThreadedExecutor:
                  trace_reference: Any = None,
                  lease_k: int = 8,
                  resume: Any = None) -> None:
-        if lease_k < 1:
-            raise ValueError(f"lease_k must be >= 1, got {lease_k}")
-        self.graph = graph
-        self.lease_k = int(lease_k)
-        self.stop = stop
-        if watch is None:
-            terminals = graph.terminal_stages()
-            watch = {t.output.name for t in terminals}
-        self.watch = set(watch)
-        self.faults = faults
-        self.injector = injector
-        self.strict = strict
-        self._sink = active_sink(trace)
-        self.trace_metric = trace_metric
-        self.trace_reference = trace_reference
-        # Cumulative *virtual* energy, charged from the Compute costs
-        # the stages declare.  Wall time cannot recover per-stage cost,
-        # but the declared costs can — so the threaded timeline's
-        # energy column agrees in shape with the simulator's.
-        self._energy = 0.0
+        super().__init__(graph, stop=stop, watch=watch, faults=faults,
+                         injector=injector, strict=strict, trace=trace,
+                         trace_metric=trace_metric,
+                         trace_reference=trace_reference, lease_k=lease_k,
+                         resume=resume)
         self._halt = threading.Event()
         self._stop_requested = threading.Event()
         # The pause gate: cleared = stage threads park between commands
@@ -255,31 +285,9 @@ class ThreadedExecutor:
         self._gate.set()
         self._threads: list[threading.Thread] | None = None
         self._stage_threads: dict[str, threading.Thread] = {}
-        self._ended_at: float | None = None
-        self._final_lock = threading.Lock()
-        self._final_result: ThreadedResult | None = None
-        self._lock = threading.Lock()
-        self._timeline = Timeline()
-        self._errors: list[tuple[str, BaseException]] = []
-        self._reports = {s.name: StageReport(stage=s.name)
-                         for s in graph.stages}
-        # Checkpoint support (repro.ckpt): where each stage thread is
-        # parked or blocked (the quiesce detector), the automaton name
-        # and app spec stamped into checkpoint headers, and — when this
-        # run *resumes* a checkpoint — the ResumeInfo seeding energy,
-        # reports, timeline offset and the set of stages not relaunched.
+        # where each stage thread is parked or blocked (the checkpoint
+        # quiesce detector)
         self._park_status: dict[str, tuple] = {}
-        self.run_name = "automaton"
-        self.app_spec: dict[str, Any] | None = None
-        self._resume = resume
-        self._t_offset = 0.0
-        if resume is not None:
-            self._energy = float(resume.energy)
-            self._t_offset = float(resume.duration)
-            self._reports = resume.seed_reports(
-                [s.name for s in graph.stages])
-            from ..ckpt.state import restore_stop
-            restore_stop(self.stop, resume.stop)
         # One wake-up event per stage, subscribed to every input buffer:
         # a write to *any* input wakes the stage promptly (no rotation,
         # no busy-polling a single input).
@@ -287,7 +295,6 @@ class ThreadedExecutor:
         for s in graph.stages:
             for b in s.inputs:
                 b.subscribe(self._events[s.name])
-        self._t0 = 0.0
 
     def request_stop(self) -> None:
         """Interrupt the automaton (thread-safe, idempotent)."""
@@ -295,6 +302,9 @@ class ThreadedExecutor:
         self._halt.set()
         # release paused threads so they can observe the halt
         self._gate.set()
+
+    def _stopping(self) -> bool:
+        return self._stop_requested.is_set()
 
     # -- RunHandle protocol ----------------------------------------------
 
@@ -329,92 +339,14 @@ class ThreadedExecutor:
             self._ended_at = _time.perf_counter()
         return True
 
-    def _watch_name(self) -> str:
-        if len(self.watch) == 1:
-            return next(iter(self.watch))
-        return self.graph.terminal_buffer().name
-
     def _peek(self) -> Snapshot:
         return self.graph.buffers[self._watch_name()].snapshot()
-
-    # -- tracing ---------------------------------------------------------
-
-    def _now(self) -> float:
-        # resumed runs continue the interrupted run's clock, so the
-        # combined timeline stays monotone across the checkpoint
-        return _time.perf_counter() - self._t0 + self._t_offset
-
-    def _trace(self, kind: str, stage: str | None = None,
-               target: str | None = None, ts: float | None = None,
-               **args: Any) -> None:
-        if self._sink is None:
-            return
-        self._sink.emit(TraceEvent(self._now() if ts is None else ts,
-                                   kind, stage=stage, target=target,
-                                   args=args))
-
-    def _trace_wait(self, stage_name: str, started: float,
-                    kind: str) -> None:
-        """Record one completed blocking wait (counter + span event)."""
-        elapsed = self._now() - started
-        self._reports[stage_name].record_wait(elapsed)
-        if self._sink is not None:
-            self._sink.emit(TraceEvent(
-                started, "stage.wait", stage=stage_name,
-                args={"dur": elapsed, "wait": kind}))
-
-    def _install_hooks(self) -> None:
-        """Point buffer/channel/injector tracers at the sink."""
-        if self._sink is None:
-            return
-
-        chan_stage: dict[tuple[str, str], str] = {}
-        for s in self.graph.stages:
-            if s.emit_to is not None:
-                chan_stage[(s.emit_to.name, "out")] = s.name
-            if isinstance(s, SynchronousStage):
-                chan_stage[(s.channel.name, "in")] = s.name
-
-        def buffer_hook(kind: str, name: str, **args: Any) -> None:
-            self._trace(kind, stage=args.pop("writer", None),
-                        target=name, **args)
-
-        def channel_hook(kind: str, name: str, **args: Any) -> None:
-            side = "in" if kind == "channel.recv" else "out"
-            self._trace(kind, stage=chan_stage.get((name, side)),
-                        target=name, **args)
-
-        for b in self.graph.buffers.values():
-            b.tracer = buffer_hook
-        for s in self.graph.stages:
-            if s.emit_to is not None:
-                s.emit_to.tracer = channel_hook
-        if self.injector is not None:
-            self.injector.tracer = (
-                lambda s, c, k: self._trace("fault.injected", stage=s,
-                                            at=c, fault=k))
-
-    def _charge(self, cmd: Compute) -> None:
-        amount = cmd.energy if cmd.energy is not None else cmd.cost
-        with self._lock:
-            self._energy += amount
-
-    def _energy_total(self) -> float:
-        with self._lock:
-            return self._energy
-
-    def _record(self, record: WriteRecord) -> None:
-        with self._lock:
-            self._timeline.add(record)
-        if record.buffer in self.watch and self.stop is not None \
-                and self.stop.should_stop(record):
-            self.request_stop()
 
     # -- per-stage thread ------------------------------------------------
 
     def _run_stage(self, stage) -> None:
         report = self._reports[stage.name]
-        policy = resolve_policy(self.faults, stage.name)
+        port = ThreadPort(self, stage)
         while not self._halt.is_set():
             report.attempts += 1
             self._trace("stage.start", stage=stage.name,
@@ -423,201 +355,20 @@ class ThreadedExecutor:
             if self.injector is not None:
                 gen = self.injector.wrap(stage.name, gen, realtime=True)
             try:
-                outcome = self._interpret(stage, gen)
+                outcome = pump(gen, port)
             except BaseException as exc:   # noqa: BLE001 - reported
-                failures = report.record_failure(exc)
-                self._trace("stage.finish", stage=stage.name,
-                            status="error", error=repr(exc))
-                with self._lock:
-                    self._errors.append((stage.name, exc))
-                if self.stop is not None \
-                        and self.stop.on_failure(stage.name, exc):
-                    self.request_stop()
-                    self._finish_degraded(stage, report)
-                    return
-                action = policy.decide(failures)
-                if action == "restart" and stage.emit_to is not None:
-                    # A streaming parent cannot be restarted: its
-                    # consumer already folded updates that a fresh pass
-                    # would re-emit (double counting).  Degrade instead.
-                    action = "degrade"
+                action, delay = self._dispose_failure(stage, exc)
                 if action == "restart":
-                    delay = policy.restart_delay(failures)
-                    self._trace("stage.restart", stage=stage.name,
-                                failures=failures, delay=delay)
                     self._backoff(delay)
                     continue
-                if action == "fail":
-                    report.failed = True
-                    self._seal_outputs(stage)
-                    self._halt.set()
-                    return
-                self._finish_degraded(stage, report)
-                return
-            if outcome is _EXHAUSTED or report.degraded:
-                self._trace("stage.finish", stage=stage.name,
-                            status="degraded")
-                self._finish_degraded(stage, report)
-            elif outcome == "done":
-                self._trace("stage.finish", stage=stage.name,
-                            status="completed")
-                report.completed = True
                 self._seal_outputs(stage)
-            else:
-                self._trace("stage.finish", stage=stage.name,
-                            status="halted")
-            return   # done, halted, or degraded
-
-    def _interpret(self, stage, gen) -> Any:
-        """Pump one generator until it ends ("done"), the run halts
-        ("halted"), or its inputs are exhausted (``_EXHAUSTED``).
-        Stage exceptions propagate to :meth:`_run_stage`."""
-        send_value: Any = None
-        # What the pending send_value answers ("wait" | "poll" | "lease"
-        # | "recv" | None): a checkpoint taken while parked here must
-        # know whether dropping it loses information.  Only a dequeued
-        # channel update does — the checkpointer puts it back at the
-        # head of the checkpointed queue; every other reply is
-        # recomputed deterministically on resume.
-        pending_kind: str | None = None
-        report = self._reports[stage.name]
-        while not self._halt.is_set():
-            if not self._gate.is_set():
-                # paused: park between commands (the preemption point);
-                # the short timeout keeps the halt flag live
-                self._park_status[stage.name] = (
-                    "gate", pending_kind, send_value)
-                self._gate.wait(timeout=_POLL_S)
-                continue
-            self._park_status.pop(stage.name, None)
-            try:
-                cmd = gen.send(send_value)
-            except StopIteration:
-                return "done"
-            send_value = None
-            pending_kind = None
-            report.commands += 1
-            if isinstance(cmd, Compute):
-                # the work already ran inside the stage; charge its
-                # declared cost so the timeline's energy column fills
-                self._charge(cmd)
-            elif isinstance(cmd, Write):
-                final = cmd.final
-                if final and isinstance(stage, SynchronousStage) \
-                        and stage.channel.aborted:
-                    # The update stream was cut short: the aggregate is
-                    # an approximation, not the precise output.
-                    final = False
-                    report.degraded = True
-                version = stage.output.write(cmd.value, final,
-                                             writer=stage.name,
-                                             transfer=cmd.transfer)
-                watched = stage.output.name in self.watch
-                now = self._now()
-                self._record(WriteRecord(
-                    now, stage.output.name, version, final,
-                    self._energy_total(),
-                    cmd.value if watched else None))
-                if self._sink is not None and watched \
-                        and self.trace_metric is not None:
-                    self._trace("accuracy.sample", stage=stage.name,
-                                target=stage.output.name, ts=now,
-                                accuracy=float(self.trace_metric(
-                                    cmd.value, self.trace_reference)),
-                                version=version)
-            elif isinstance(cmd, WaitInputs):
-                send_value = self._wait_inputs(stage, cmd.seen)
-                pending_kind = "wait"
-                if send_value is None:          # halted while waiting
-                    return "halted"
-                if send_value is _EXHAUSTED:
-                    gen.close()
-                    return _EXHAUSTED
-            elif isinstance(cmd, PollInputs):
-                send_value = self._poll_inputs(stage, cmd.seen)
-                pending_kind = "poll"
-            elif isinstance(cmd, Emit):
-                if not self._emit_update(stage, cmd.update):
-                    # Halted before the update could be enqueued: stop
-                    # here instead of silently dropping it and letting
-                    # the generator run on to its next wait.
-                    return "halted"
-            elif isinstance(cmd, Lease):
-                send_value = max(1, min(cmd.want, self.lease_k))
-                pending_kind = "lease"
-            elif isinstance(cmd, CloseChannel):
-                stage.emit_to.close()
-            elif isinstance(cmd, Recv):
-                send_value = self._recv(stage)
-                pending_kind = "recv"
-                if send_value is None and self._halt.is_set():
-                    return "halted"
-            else:
-                raise TypeError(
-                    f"stage {stage.name!r} yielded unknown command "
-                    f"{cmd!r}")
-        return "halted"
-
-    def _emit_update(self, stage, update) -> bool:
-        """Halt-aware blocking emit; False = halted before enqueue.
-
-        The caller must treat False as ``"halted"`` — the update was
-        *not* delivered, so letting the generator keep running would
-        silently desynchronize the stream.  :class:`ChannelClosed`
-        propagates to the fault policy as before.
-        """
-        started: float | None = None
-        try:
-            while not self._halt.is_set():
-                try:
-                    stage.emit_to.emit(update, timeout=_POLL_S)
-                    return True
-                except TimeoutError:
-                    if started is None:
-                        started = self._now()
-                    self._park_status[stage.name] = ("wait", "emit")
-                    continue
-            return False
-        finally:
-            self._park_status.pop(stage.name, None)
-            if started is not None:
-                self._trace_wait(stage.name, started, "emit")
-
-    def _finish_degraded(self, stage, report: StageReport) -> None:
-        report.degraded = True
-        self._seal_outputs(stage)
-
-    def _seal_outputs(self, stage) -> None:
-        """Freeze everything the stage feeds, so consumers stop waiting.
-
-        Sealing an already-final buffer is a harmless flag; aborting the
-        emit channel releases a consumer blocked mid-stream."""
-        stage.output.seal()
-        if stage.emit_to is not None and not stage.emit_to.closed:
-            stage.emit_to.abort()
-        if isinstance(stage, SynchronousStage) \
-                and not stage.channel.closed:
-            # The consumer died: release a producer blocked on the full
-            # channel (its next emit raises ChannelClosed and its own
-            # policy takes over).
-            stage.channel.abort()
-
-    def _shutdown_io(self) -> None:
-        """Freeze all buffers and channels after an interrupted run.
-
-        A timeout or stop condition halts the stage threads, but
-        anything *outside* the executor blocked on the graph — a UI
-        thread in ``buffer.wait_newer``, a producer stuck emitting into
-        a full, never-closed channel — would hang forever on objects no
-        stage will touch again.  Sealing is idempotent and aborting is
-        skipped for channels already closed, so a clean shutdown is
-        unaffected.
-        """
-        for b in self.graph.buffers.values():
-            b.seal()
-        for c in self.graph.channels.values():
-            if not c.closed:
-                c.abort()
+                if action == "stop":
+                    self.request_stop()
+                elif action == "fail":
+                    self._halt.set()
+                return
+            self._finish(stage, outcome)
+            return
 
     def _backoff(self, delay: float) -> None:
         deadline = _time.monotonic() + delay
@@ -626,74 +377,6 @@ class ThreadedExecutor:
             if remaining <= 0:
                 return
             _time.sleep(min(remaining, _POLL_S))
-
-    def _snapshots(self, stage):
-        return {b.name: b.snapshot() for b in stage.inputs}
-
-    def _poll_inputs(self, stage, seen) -> bool:
-        snaps = self._snapshots(stage)
-        if not snaps:
-            return False
-        if any(s.empty for s in snaps.values()):
-            return False
-        return any(s.version > seen.get(n, 0) for n, s in snaps.items())
-
-    @staticmethod
-    def _inputs_exhausted(snaps) -> bool:
-        """The wait can never be satisfied: an input is empty and sealed
-        (its producer died before publishing), or every input is frozen
-        (final or sealed) so nothing newer will ever appear."""
-        if any(s.empty and s.sealed for s in snaps.values()):
-            return True
-        return all(s.exhausted for s in snaps.values())
-
-    def _wait_inputs(self, stage, seen):
-        event = self._events[stage.name]
-        started: float | None = None
-        try:
-            while not self._halt.is_set():
-                event.clear()
-                snaps = self._snapshots(stage)
-                if not snaps:
-                    return snaps
-                if not any(s.empty for s in snaps.values()) and any(
-                        s.version > seen.get(n, 0)
-                        for n, s in snaps.items()):
-                    return snaps
-                if self._inputs_exhausted(snaps):
-                    return _EXHAUSTED
-                if started is None:
-                    started = self._now()
-                # A blocked wait is a quiesce point too: under pause the
-                # producers are parked, so nothing can satisfy it.
-                self._park_status[stage.name] = ("wait", "inputs")
-                # The event is set by a write/seal to any input; the
-                # short timeout keeps the halt flag live.
-                event.wait(timeout=_POLL_S)
-            return None
-        finally:
-            self._park_status.pop(stage.name, None)
-            if started is not None:
-                self._trace_wait(stage.name, started, "inputs")
-
-    def _recv(self, stage):
-        started: float | None = None
-        try:
-            while not self._halt.is_set():
-                try:
-                    return stage.channel.recv(timeout=_POLL_S)
-                except TimeoutError:
-                    if started is None:
-                        started = self._now()
-                    self._park_status[stage.name] = ("wait", "recv")
-                    continue
-                except ChannelClosed:
-                    return CHANNEL_END
-            return None
-        finally:
-            self._park_status.pop(stage.name, None)
-            if started is not None:
-                self._trace_wait(stage.name, started, "recv")
 
     # -- checkpoint (repro.ckpt) -----------------------------------------
 
@@ -705,7 +388,7 @@ class ThreadedExecutor:
                     for c in self.graph.channels.values())
         with self._lock:
             return (versions, chans, len(self._timeline.records),
-                    self._energy)
+                    self.meter.total)
 
     def _settle(self, timeout_s: float = 30.0) -> None:
         """Wait (with the gate down) until every live stage thread is
@@ -734,76 +417,38 @@ class ThreadedExecutor:
         """Per-stage checkpoint entries + channel requeue map.
 
         Must run quiesced.  A stage parked with an undelivered channel
-        update in its send slot (dequeued by ``_recv``, never handed to
+        update in its send slot (dequeued by a recv, never handed to
         the generator) gets that update put back at the head of the
         *checkpointed* queue — the live channel is untouched.
         """
-        from ..ckpt.state import (STATUS_COMPLETED, STATUS_DEGRADED,
-                                  STATUS_FAILED, STATUS_LIVE)
-
         stages: dict[str, dict] = {}
         requeue: dict[str, list] = {}
         for s in self.graph.stages:
-            report = self._reports[s.name]
-            cursor = None
             thread = self._stage_threads.get(s.name)
-            if thread is not None and thread.is_alive():
-                # still running — stays LIVE even when the degraded
-                # flag is already set (final-after-abort); the flag
-                # rides along in the restored report
-                status = STATUS_LIVE
+            live = thread is not None and thread.is_alive()
+            cursor = None
+            if live:
                 park = self._park_status.get(s.name)
-                if park is not None and park[0] == "gate" \
-                        and park[1] == "recv" \
-                        and isinstance(s, SynchronousStage):
-                    update = park[2]
-                    if update is not None \
-                            and update is not CHANNEL_END:
-                        requeue.setdefault(
-                            s.channel.name, []).append(update)
-                written = s.output.version
+                if park is not None and park[:2] == ("gate", "recv") \
+                        and park[2] is not None \
+                        and park[2] is not CHANNEL_END:
+                    requeue.setdefault(s.channel.name, []).append(park[2])
                 emitted = (s.emit_to.emitted
                            if s.emit_to is not None else 0)
-                cursor = s.capture_state(written, emitted)
-            elif report.failed:
-                status = STATUS_FAILED
-            elif report.degraded:
-                status = STATUS_DEGRADED
-            else:
-                status = STATUS_COMPLETED
-            stages[s.name] = {"status": status, "cursor": cursor}
+                cursor = s.capture_state(s.output.version, emitted)
+            stages[s.name] = self._stage_entry(s.name, live, cursor)
         return stages, requeue
 
     def _checkpoint(self, path: str) -> str:
         """Quiesce, capture, serialize; restores the pause state."""
-        from ..ckpt.format import CheckpointError
-        from ..ckpt.state import assemble_payload, save_checkpoint
-
-        if self._threads is None:
-            raise CheckpointError(
-                "cannot checkpoint: the run was never launched")
-        if self._stop_requested.is_set():
-            raise CheckpointError(
-                "cannot checkpoint a stopping run: shutdown seals "
-                "every buffer (checkpoint before request_stop)")
+        self._refuse_checkpoint(self._threads is not None)
         was_paused = self._is_paused()
         self._set_paused(True)
         try:
             self._settle()
             stages, requeue = self._capture_stages()
-            with self._lock:
-                records = list(self._timeline.records)
-                energy = self._energy
-            if self._resume is not None \
-                    and self._resume.prefix.records:
-                records = self._resume.prefix.records + records
-            payload = assemble_payload(
-                self.graph, name=self.run_name, executor="threaded",
-                stages=stages, reports=self._reports, energy=energy,
-                timeline=Timeline(records), duration=self._now(),
-                stop=self.stop, channel_requeue=requeue)
-            return save_checkpoint(path, payload,
-                                   app_spec=self.app_spec)
+            return self._save_checkpoint(path, stages, self._now(),
+                                         channel_requeue=requeue)
         finally:
             if not was_paused:
                 self._set_paused(False)
@@ -836,47 +481,106 @@ class ThreadedExecutor:
             t.start()
         return RunHandle(self)
 
-    def _finalize(self) -> ThreadedResult:
-        """Assemble the result after every stage thread has exited."""
-        with self._final_lock:
-            if self._final_result is None:
-                ended = (self._ended_at if self._ended_at is not None
-                         else _time.perf_counter())
-                duration = ended - self._t0 + self._t_offset
-                if self._stop_requested.is_set():
-                    self._shutdown_io()
-                completed = (all(r.completed
-                                 for r in self._reports.values())
-                             and not self._stop_requested.is_set())
-                final_values = {b.name: b.snapshot().value
-                                for b in self.graph.buffers.values()}
-                timeline = self._timeline
-                if self._resume is not None \
-                        and self._resume.prefix.records:
-                    # the resumed result's ladder spans the whole
-                    # logical run, checkpoint prefix included
-                    timeline = Timeline(self._resume.prefix.records
-                                        + self._timeline.records)
-                self._final_result = ThreadedResult(
-                    timeline=timeline, duration=duration,
-                    completed=completed,
-                    stopped_early=self._stop_requested.is_set(),
-                    final_values=final_values,
-                    errors=list(self._errors),
-                    stage_reports=dict(self._reports))
-            if self.strict:
-                unrecovered = [
-                    (n, r) for n, r in self._reports.items()
-                    if r.last_error is not None and not r.completed]
-                if unrecovered:
-                    name, _ = unrecovered[0]
-                    first = next(exc for sname, exc in self._errors
-                                 if sname == name)
-                    raise RuntimeError(
-                        f"stage {name!r} failed during threaded "
-                        f"execution: {first}") from first
-            return self._final_result
-
     def run(self, timeout_s: float | None = None) -> ThreadedResult:
         """Execute until completion, stop condition, or ``timeout_s``."""
         return self.launch().result(timeout_s=timeout_s)
+
+
+class ThreadPort:
+    """The threaded executor's blocking, for :func:`~repro.core.semantics.pump`.
+
+    Every blocking command waits in short slices so the run's halt flag
+    stays live, and records where its stage is parked for the
+    checkpoint quiesce detector.
+    """
+
+    def __init__(self, executor: ThreadedExecutor, stage) -> None:
+        self.ex = executor
+        self.stage = stage
+        self.report = executor._reports[stage.name]
+        self.lease_k = executor.lease_k
+        self.halted = executor._halt.is_set
+
+    def parked(self, kind: str | None, value: Any) -> bool:
+        ex, name = self.ex, self.stage.name
+        if ex._gate.is_set():
+            ex._park_status.pop(name, None)
+            return False
+        # paused: park between commands (the preemption point); the
+        # short timeout keeps the halt flag live
+        ex._park_status[name] = ("gate", kind, value)
+        ex._gate.wait(timeout=_POLL_S)
+        return True
+
+    def compute(self, cmd) -> None:
+        # the work already ran inside the stage; charge its declared
+        # cost so the timeline's energy column fills
+        self.ex._charge(compute_energy(cmd))
+
+    def write(self, cmd) -> None:
+        if self.ex._write(self.stage, cmd.value, cmd.final, cmd.transfer):
+            self.ex.request_stop()
+
+    def poll(self, seen) -> bool:
+        return poll_inputs(self.stage, seen)
+
+    def close_channel(self) -> None:
+        self.stage.emit_to.close()
+
+    def _block(self, kind: str, attempt, idle=None) -> Any:
+        """Retry ``attempt`` (which returns ``_AGAIN`` while it would
+        block, then ``idle()`` runs) until it answers or the run halts;
+        records one wait."""
+        ex, name = self.ex, self.stage.name
+        started: float | None = None
+        try:
+            while not ex._halt.is_set():
+                reply = attempt()
+                if reply is not _AGAIN:
+                    return reply
+                if started is None:
+                    started = ex._now()
+                # a blocked wait is a quiesce point too: under pause the
+                # producers are parked, so nothing can satisfy it
+                ex._park_status[name] = ("wait", kind)
+                if idle is not None:
+                    idle()
+            return HALT
+        finally:
+            ex._park_status.pop(name, None)
+            if started is not None:
+                ex._trace_wait(name, started, kind)
+
+    def wait(self, seen) -> Any:
+        event = self.ex._events[self.stage.name]
+
+        def attempt():
+            event.clear()
+            reply = try_wait(self.stage, seen)
+            return _AGAIN if reply is None else reply
+
+        # the event is set by a write/seal to any input
+        return self._block("inputs", attempt,
+                           lambda: event.wait(timeout=_POLL_S))
+
+    def emit(self, update) -> Any:
+        def attempt():
+            try:
+                self.stage.emit_to.emit(update, timeout=_POLL_S)
+            except TimeoutError:
+                return _AGAIN
+            return None
+
+        # ChannelClosed propagates to the fault policy
+        return self._block("emit", attempt)
+
+    def recv(self) -> Any:
+        def attempt():
+            try:
+                return self.stage.channel.recv(timeout=_POLL_S)
+            except TimeoutError:
+                return _AGAIN
+            except ChannelClosed:
+                return CHANNEL_END
+
+        return self._block("recv", attempt)

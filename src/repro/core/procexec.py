@@ -1,7 +1,8 @@
 """Process-parallel execution with a shared-memory data plane.
 
-One worker *process* per stage, interpreting the same command protocol
-as the simulated and threaded executors — but sidestepping the GIL, so
+One worker *process* per stage, driving its generator through the same
+interpreter loop as the threaded executor
+(:func:`repro.core.semantics.pump`) — but sidestepping the GIL, so
 NumPy-light pipelines actually overlap on real cores (the paper's
 POWER7+ machine ran its stages on 32 hardware threads; see Figure 11).
 
@@ -13,11 +14,11 @@ only: ndarray payloads are written once into per-buffer
 :class:`~repro.core.shmplane.SlabRing` slabs and cross the pipe as
 :class:`~repro.core.shmplane.NDRef` descriptors (see
 :mod:`repro.core.shmplane` for the pinning protocol that keeps
-snapshots atomic).  Because the parent reuses the real buffer/channel
-objects, Property-2/3 enforcement, seal/abort cascades and the tracing
-vocabulary are identical to the threaded executor — the trace-shape
-parity test in ``tests/test_tracing.py`` holds across all three
-backends.
+snapshots atomic).  The parent applies the shared stage rules of
+:mod:`repro.core.semantics` to the real buffer/channel objects, so
+Property-2/3 enforcement, seal/abort cascades and the tracing
+vocabulary are those of every other executor — the trace-shape parity
+test in ``tests/test_tracing.py`` holds across all three backends.
 
 Design notes and tradeoffs:
 
@@ -64,24 +65,19 @@ from typing import Any, Callable
 from .buffer import Snapshot
 from .channel import ChannelClosed
 from .controller import StopCondition
-from .executor import RunHandle, ThreadedResult
-from .faults import (FaultInjector, FaultPolicy, StageReport,
-                     resolve_policy)
+from .executor import RunHandle, ThreadedResult, WallClockRules
+from .faults import FaultInjector, FaultPolicy, StageReport
 from .graph import AutomatonGraph
-from .recording import Timeline, WriteRecord
-from .stage import (CHANNEL_END, CloseChannel, Compute, Emit, Lease,
-                    PollInputs, Recv, WaitInputs, Write)
+from .semantics import (DONE, EXHAUSTED, HALT, HALTED, compute_energy,
+                        poll_inputs, pump, try_wait)
 from .shmplane import SegmentRegistry, SlabWriter, decode_payload
-from .syncstage import SynchronousStage
-from .tracing import TraceEvent, TraceSink, active_sink
+from .stage import CHANNEL_END
+from .tracing import TraceSink
 
 __all__ = ["ProcessExecutor"]
 
 #: reactor poll interval (halt/timeout/restart checks stay live)
 _WAIT_S = 0.02
-
-#: sentinel mirroring the threaded executor's exhausted-inputs outcome
-_EXHAUSTED = object()
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +87,12 @@ _EXHAUSTED = object()
 class _Worker:
     """Runs one stage's generator inside a forked process.
 
-    Mirrors ``ThreadedExecutor._run_stage`` / ``_interpret``, except
-    every blocking decision is delegated to the parent over the pipe:
-    the worker sends a request and blocks on the reply, which may be a
-    ``("halt",)`` at any point.  In-process restarts keep diffusive
-    state and injector counters, exactly like threaded restarts.
+    The worker is the port through which
+    :func:`~repro.core.semantics.pump` blocks: every blocking decision
+    is delegated to the parent over the pipe — the worker sends a
+    request and blocks on the reply, which may be a ``("halt",)`` at any
+    point.  In-process restarts keep diffusive state and injector
+    counters, exactly like threaded restarts.
     """
 
     def __init__(self, stage, conn, slots: int, lock,
@@ -105,6 +102,10 @@ class _Worker:
         self.conn = conn
         self.injector = injector
         self.lease_k = int(lease_k)
+        #: the pump's command counter; what it gained since the last
+        #: report rides to the parent on the stage's ending messages
+        self.report = StageReport(stage=stage.name)
+        self._reported = 0
         self.registry = SegmentRegistry()
         self.writer = SlabWriter(
             stage.output.name, slots, lock,
@@ -125,6 +126,12 @@ class _Worker:
                     ("trace", "fault.injected", _time.perf_counter(),
                      {"at": c, "fault": k})))
 
+    def _commands(self) -> int:
+        """Commands counted since the last report to the parent."""
+        n, self._reported = (self.report.commands - self._reported,
+                             self.report.commands)
+        return n
+
     def _request(self, msg: tuple) -> tuple:
         self._credits = 0
         self.conn.send(msg)
@@ -140,13 +147,26 @@ class _Worker:
                 # write/emit counts it has applied so far
                 self.conn.send(("state",
                                 self.stage.capture_state(reply[1],
-                                                         reply[2])))
+                                                         reply[2]),
+                                self._commands()))
                 continue
             # any reply proves the parent consumed every message sent
             # before this request (pipe FIFO) — streamed leased writes
             # included, so their slab slots are safe to reuse
             self.writer.release_held()
             return reply
+
+    def _ask(self, msg: tuple) -> Any:
+        """A blocking request: the reply, :data:`HALT`, or the raise
+        the parent relayed."""
+        reply = self._request(msg)
+        if reply[0] == "halt":
+            return HALT
+        if reply[0] == "raise":
+            if reply[1] == "closed":
+                raise ChannelClosed(reply[2])
+            raise RuntimeError(reply[2])
+        return reply
 
     def _drain_revokes(self) -> None:
         """Consume asynchronous lease revocations before a leased write.
@@ -159,12 +179,6 @@ class _Worker:
             if self.conn.recv()[0] == "revoke":
                 self._credits = 0
 
-    @staticmethod
-    def _reraise(reply: tuple) -> None:
-        if reply[1] == "closed":
-            raise ChannelClosed(reply[2])
-        raise RuntimeError(reply[2])
-
     def run(self) -> None:
         try:
             # epoch handshake: the parent stamps its own receipt time
@@ -172,6 +186,9 @@ class _Worker:
             self.conn.send(("epoch", _time.perf_counter()))
             self._run_stage()
         finally:
+            # the stage's pass snapshots are zero-copy views into the
+            # slabs: closing a mapping they still view would fail
+            self.stage.drop_inputs()
             self.writer.close()
             self.registry.close_all()
             try:
@@ -186,108 +203,75 @@ class _Worker:
             if self.injector is not None:
                 gen = self.injector.wrap(stage.name, gen, realtime=True)
             try:
-                outcome = self._interpret(gen)
+                outcome = pump(gen, self)
             except BaseException as exc:   # noqa: BLE001 - reported
-                reply = self._request(("failed", repr(exc)))
+                reply = self._request(("failed", repr(exc),
+                                       self._commands()))
                 action, delay = reply[1], reply[2]
                 if action == "restart":
                     if delay > 0:
                         _time.sleep(delay)
                     continue
-                return   # degrade / fail / halt: the parent seals
-            if outcome == "done":
-                self.conn.send(("done",))
-            elif outcome is _EXHAUSTED:
-                self.conn.send(("degraded",))
-            else:
-                self.conn.send(("halted",))
+                return   # degrade / fail / stop: the parent seals
+            self.conn.send((outcome, self._commands()))
             return
 
-    def _interpret(self, gen) -> Any:
-        send_value: Any = None
-        while True:
-            try:
-                cmd = gen.send(send_value)
-            except StopIteration:
-                return "done"
-            send_value = None
-            if isinstance(cmd, Compute):
-                amount = cmd.energy if cmd.energy is not None else cmd.cost
-                self.conn.send(("energy", amount))
-            elif isinstance(cmd, Write):
-                self._version += 1
-                if self._credits > 0:
-                    self._drain_revokes()
-                if self._credits > 0 and not cmd.final:
-                    # leased write: stream it, no reply round-trip; the
-                    # slot stays held until a later sync reply
-                    self._credits -= 1
-                    payload = self.writer.encode(cmd.value,
-                                                 self._version,
-                                                 hold=True)
-                    self.conn.send(("write", payload, False, True))
-                    continue
-                payload = self.writer.encode(cmd.value, self._version)
-                reply = self._request(("write", payload,
-                                       bool(cmd.final), False))
-                if reply[0] == "halt":
-                    return "halted"
-                if reply[0] == "raise":
-                    self._reraise(reply)
-                if len(reply) > 2:
-                    self._credits = reply[2]
-            elif isinstance(cmd, WaitInputs):
-                reply = self._request(("wait", dict(cmd.seen)))
-                if reply[0] == "halt":
-                    return "halted"
-                if reply[0] == "exhausted":
-                    gen.close()
-                    return _EXHAUSTED
-                if reply[0] == "raise":
-                    self._reraise(reply)
-                send_value = {
-                    name: Snapshot(name,
-                                   decode_payload(p, self.registry),
-                                   version, final, sealed)
-                    for name, p, version, final, sealed in reply[1]}
-                if len(reply) > 2:
-                    self._credits = reply[2]
-            elif isinstance(cmd, PollInputs):
-                reply = self._request(("poll", dict(cmd.seen)))
-                if reply[0] == "halt":
-                    return "halted"
-                if reply[0] == "raise":
-                    self._reraise(reply)
-                send_value = reply[1]
-            elif isinstance(cmd, Emit):
-                reply = self._request(("emit", cmd.update))
-                if reply[0] == "halt":
-                    return "halted"
-                if reply[0] == "raise":
-                    self._reraise(reply)
-            elif isinstance(cmd, CloseChannel):
-                reply = self._request(("close_channel",))
-                if reply[0] == "halt":
-                    return "halted"
-                if reply[0] == "raise":
-                    self._reraise(reply)
-            elif isinstance(cmd, Recv):
-                reply = self._request(("recv",))
-                if reply[0] == "halt":
-                    return "halted"
-                if reply[0] == "raise":
-                    self._reraise(reply)
-                send_value = (CHANNEL_END if reply[0] == "end"
-                              else reply[1])
-            elif isinstance(cmd, Lease):
-                # answered locally — zero round-trips.  The grant caps
-                # the kernel's vectorization width; reply elision is
-                # governed separately by the parent's write credits.
-                send_value = max(1, min(cmd.want, self.lease_k))
-            else:
-                raise TypeError(
-                    f"stage {self.stage.name!r} yielded unknown command "
-                    f"{cmd!r}")
+    # -- the port ----------------------------------------------------------
+
+    def halted(self) -> bool:
+        return False   # a halt arrives as the reply to a request
+
+    def parked(self, kind: str | None, value: Any) -> bool:
+        return False   # a pause holds the reply to the next request
+
+    def compute(self, cmd) -> None:
+        self.conn.send(("energy", compute_energy(cmd)))
+
+    def write(self, cmd) -> Any:
+        self._version += 1
+        if self._credits > 0:
+            self._drain_revokes()
+        if self._credits > 0 and not cmd.final:
+            # leased write: stream it, no reply round-trip; the slot
+            # stays held until a later sync reply
+            self._credits -= 1
+            payload = self.writer.encode(cmd.value, self._version,
+                                         hold=True)
+            self.conn.send(("write", payload, False, True))
+            return None
+        payload = self.writer.encode(cmd.value, self._version)
+        reply = self._ask(("write", payload, bool(cmd.final), False))
+        if reply is not HALT and len(reply) > 2:
+            self._credits = reply[2]
+        return reply
+
+    def wait(self, seen) -> Any:
+        reply = self._ask(("wait", dict(seen)))
+        if reply is HALT:
+            return HALT
+        if reply[0] == "exhausted":
+            return EXHAUSTED
+        if len(reply) > 2:
+            self._credits = reply[2]
+        return {name: Snapshot(name, decode_payload(p, self.registry),
+                               version, final, sealed)
+                for name, p, version, final, sealed in reply[1]}
+
+    def poll(self, seen) -> Any:
+        reply = self._ask(("poll", dict(seen)))
+        return reply if reply is HALT else reply[1]
+
+    def emit(self, update) -> Any:
+        return self._ask(("emit", update))
+
+    def close_channel(self) -> Any:
+        return self._ask(("close_channel",))
+
+    def recv(self) -> Any:
+        reply = self._ask(("recv",))
+        if reply is HALT:
+            return HALT
+        return CHANNEL_END if reply[0] == "end" else reply[1]
 
 
 def _worker_main(stage, conn, inherited, slots, lock, injector,
@@ -335,13 +319,15 @@ class _WorkerHandle:
         self.pending_error: tuple | None = None   # failed leased write
 
 
-class ProcessExecutor:
+class ProcessExecutor(WallClockRules):
     """Runs an :class:`AutomatonGraph` on one process per stage.
 
     Parameters mirror :class:`~repro.core.executor.ThreadedExecutor`
     (the result type is shared); ``grace_s`` bounds how long shutdown
     waits for workers to exit voluntarily before terminating them.
     """
+
+    label = "process"
 
     def __init__(self, graph: AutomatonGraph,
                  stop: StopCondition | None = None,
@@ -360,21 +346,12 @@ class ProcessExecutor:
                 "ProcessExecutor requires the 'fork' start method "
                 "(stage bodies close over unpicklable state); this "
                 "platform does not provide it — use run_threaded")
-        if lease_k < 1:
-            raise ValueError(f"lease_k must be >= 1, got {lease_k}")
-        self.graph = graph
-        self.lease_k = int(lease_k)
-        self.stop = stop
-        if watch is None:
-            watch = {t.output.name for t in graph.terminal_stages()}
-        self.watch = set(watch)
-        self.faults = faults
-        self.injector = injector
-        self.strict = strict
+        super().__init__(graph, stop=stop, watch=watch, faults=faults,
+                         injector=injector, strict=strict, trace=trace,
+                         trace_metric=trace_metric,
+                         trace_reference=trace_reference, lease_k=lease_k,
+                         resume=resume)
         self.grace_s = float(grace_s)
-        self._sink = active_sink(trace)
-        self.trace_metric = trace_metric
-        self.trace_reference = trace_reference
         self._ctx = mp.get_context("fork")
         self._locks = {name: self._ctx.Lock() for name in graph.buffers}
         # latest + one pin per consumer + a spare, plus headroom for
@@ -390,22 +367,13 @@ class ProcessExecutor:
         self._workers = {s.name: _WorkerHandle(s) for s in graph.stages}
         self._by_conn: dict[Any, _WorkerHandle] = {}
         self._parked: list[_Parked] = []
-        self._timeline = Timeline()
-        self._errors: list[tuple[str, BaseException]] = []
-        self._reports = {s.name: StageReport(stage=s.name)
-                         for s in graph.stages}
-        self._energy = 0.0
         self._halted = False
         self._stop_requested = False
         self._paused = False
         self._pause_revoked = False
         self._grace_deadline = 0.0
-        self._t0 = 0.0
         self._timeout_s: float | None = None
         self._reactor: threading.Thread | None = None
-        self._ended_at: float | None = None
-        self._final_lock = threading.Lock()
-        self._final_result: ThreadedResult | None = None
         #: newest decoded value per watched buffer (the handle's peek
         #: path — decoding a slab from outside the reactor could race a
         #: writer reusing slots, so the reactor caches at write time)
@@ -420,10 +388,6 @@ class ProcessExecutor:
         # round-trips ("capture", ...) to every parked worker for its
         # cursor, phase 3 writes the file and replays the diverted
         # requests as if nothing happened.
-        self.run_name = "automaton"
-        self.app_spec: dict[str, Any] | None = None
-        self._resume = resume
-        self._t_offset = 0.0
         self._ckpt_request: str | None = None
         self._ckpt_phase = 0
         self._ckpt_expect: set[str] = set()
@@ -432,57 +396,13 @@ class ProcessExecutor:
         self._ckpt_event: threading.Event | None = None
         self._ckpt_result: tuple | None = None
         self._ckpt_revoked = False
-        if resume is not None:
-            self._energy = float(resume.energy)
-            self._t_offset = float(resume.duration)
-            self._reports = resume.seed_reports(
-                [s.name for s in graph.stages])
-            from ..ckpt.state import restore_stop
-            restore_stop(self.stop, resume.stop)
 
     def request_stop(self) -> None:
         """Interrupt the automaton (effective at the next reactor turn)."""
         self._stop_requested = True
 
-    # -- tracing (mirrors ThreadedExecutor) ------------------------------
-
-    def _now(self) -> float:
-        # resumed runs continue the interrupted run's clock (repro.ckpt)
-        return _time.perf_counter() - self._t0 + self._t_offset
-
-    def _trace(self, kind: str, stage: str | None = None,
-               target: str | None = None, ts: float | None = None,
-               **args: Any) -> None:
-        if self._sink is None:
-            return
-        self._sink.emit(TraceEvent(self._now() if ts is None else ts,
-                                   kind, stage=stage, target=target,
-                                   args=args))
-
-    def _install_hooks(self) -> None:
-        if self._sink is None:
-            return
-        chan_stage: dict[tuple[str, str], str] = {}
-        for s in self.graph.stages:
-            if s.emit_to is not None:
-                chan_stage[(s.emit_to.name, "out")] = s.name
-            if isinstance(s, SynchronousStage):
-                chan_stage[(s.channel.name, "in")] = s.name
-
-        def buffer_hook(kind: str, name: str, **args: Any) -> None:
-            self._trace(kind, stage=args.pop("writer", None),
-                        target=name, **args)
-
-        def channel_hook(kind: str, name: str, **args: Any) -> None:
-            side = "in" if kind == "channel.recv" else "out"
-            self._trace(kind, stage=chan_stage.get((name, side)),
-                        target=name, **args)
-
-        for b in self.graph.buffers.values():
-            b.tracer = buffer_hook
-        for s in self.graph.stages:
-            if s.emit_to is not None:
-                s.emit_to.tracer = channel_hook
+    def _stopping(self) -> bool:
+        return self._stop_requested
 
     # -- data plane ------------------------------------------------------
 
@@ -583,28 +503,15 @@ class ProcessExecutor:
 
     # -- request servicing ----------------------------------------------
 
-    def _snapshots(self, stage):
-        return {b.name: b.snapshot() for b in stage.inputs}
-
-    @staticmethod
-    def _inputs_exhausted(snaps) -> bool:
-        if any(s.empty and s.sealed for s in snaps.values()):
-            return True
-        return all(s.exhausted for s in snaps.values())
-
     def _try_wait(self, w: _WorkerHandle, seen: dict) -> tuple | None:
-        stage = w.stage
-        snaps = self._snapshots(stage)
-        if not snaps:
-            return ("snaps", [], self._wait_credits(()))
-        if not any(s.empty for s in snaps.values()) and any(
-                s.version > seen.get(n, 0) for n, s in snaps.items()):
-            wire = [(n, self._hand_payload(stage.name, n), s.version,
-                     s.final, s.sealed) for n, s in snaps.items()]
-            return ("snaps", wire, self._wait_credits(snaps.values()))
-        if self._inputs_exhausted(snaps):
+        snaps = try_wait(w.stage, seen)
+        if snaps is None:
+            return None
+        if snaps is EXHAUSTED:
             return ("exhausted",)
-        return None
+        wire = [(n, self._hand_payload(w.stage.name, n), s.version,
+                 s.final, s.sealed) for n, s in snaps.items()]
+        return ("snaps", wire, self._wait_credits(snaps.values()))
 
     def _wait_credits(self, snaps) -> int:
         """Write credits granted alongside an input snapshot.
@@ -624,14 +531,6 @@ class ProcessExecutor:
         """Write credits refreshed by a synchronous write reply."""
         return 0 if self.lease_k <= 1 else self.lease_k
 
-    def _try_poll(self, w: _WorkerHandle, seen: dict) -> tuple:
-        snaps = self._snapshots(w.stage)
-        if not snaps or any(s.empty for s in snaps.values()):
-            return ("poll_ok", False)
-        return ("poll_ok",
-                any(s.version > seen.get(n, 0)
-                    for n, s in snaps.items()))
-
     def _try_emit(self, w: _WorkerHandle, update: Any) -> tuple | None:
         channel = w.stage.emit_to
         try:
@@ -648,54 +547,38 @@ class ProcessExecutor:
 
     def _do_write(self, w: _WorkerHandle, payload: Any,
                   final: bool) -> tuple:
-        stage = w.stage
-        report = self._reports[stage.name]
-        if final and isinstance(stage, SynchronousStage) \
-                and stage.channel.aborted:
-            # updates were lost upstream: the aggregate is approximate
-            final = False
-            report.degraded = True
         try:
-            version = stage.output.write(payload, final,
-                                         writer=stage.name)
+            if self._write(w.stage, payload, final):
+                self._stop_requested = True
         except ValueError as exc:
             return ("raise", "error", str(exc))
-        self._payloads[stage.output.name] = payload
-        watched = stage.output.name in self.watch
-        now = self._now()
-        value = self._decode(stage.output.name) if watched else None
-        if watched:
-            self._latest[stage.output.name] = Snapshot(
-                stage.output.name, value, version, final)
-        record = WriteRecord(now, stage.output.name, version, final,
-                             self._energy, value)
-        self._timeline.add(record)
-        if watched and self.stop is not None \
-                and self.stop.should_stop(record):
-            self._stop_requested = True
-        if self._sink is not None and watched \
-                and self.trace_metric is not None:
-            self._trace("accuracy.sample", stage=stage.name,
-                        target=stage.output.name, ts=now,
-                        accuracy=float(self.trace_metric(
-                            value, self.trace_reference)),
-                        version=version)
-        return ("ok", version)
+        return ("ok", w.stage.output.version)
 
-    #: blocking request kinds -> (service fn name, stage.wait label)
+    def _publish(self, stage, payload: Any, version: int, final: bool,
+                 watched: bool) -> Any:
+        # the buffer holds the slab descriptor; the timeline record (and
+        # the accuracy metric) see the decoded value
+        name = stage.output.name
+        self._payloads[name] = payload
+        if not watched:
+            return None
+        value = self._decode(name)
+        self._latest[name] = Snapshot(name, value, version, final)
+        return value
+
+    #: blocking request kinds -> stage.wait label
     _BLOCKING = {"wait": "inputs", "emit": "emit", "recv": "recv"}
 
     def _service(self, w: _WorkerHandle, kind: str,
                  payload: Any) -> tuple | None:
+        """Answer one request, or None while it would block."""
         if kind == "wait":
             return self._try_wait(w, payload)
         if kind == "poll":
-            return self._try_poll(w, payload)
+            return ("ok", poll_inputs(w.stage, payload))
         if kind == "emit":
             return self._try_emit(w, payload)
-        if kind == "recv":
-            return self._try_recv(w)
-        raise AssertionError(kind)   # pragma: no cover
+        return self._try_recv(w)
 
     def _service_parked(self) -> None:
         """Retry every parked request until a pass makes no progress."""
@@ -709,24 +592,9 @@ class ProcessExecutor:
                     continue
                 self._parked.remove(parked)
                 progressed = True
-                self._finish_wait(parked)
-                self._reply(parked.worker, self._wire(reply))
-
-    def _finish_wait(self, parked: _Parked) -> None:
-        elapsed = self._now() - parked.started
-        self._reports[parked.worker.stage.name].record_wait(elapsed)
-        if self._sink is not None:
-            self._sink.emit(TraceEvent(
-                parked.started, "stage.wait",
-                stage=parked.worker.stage.name,
-                args={"dur": elapsed,
-                      "wait": self._BLOCKING[parked.kind]}))
-
-    @staticmethod
-    def _wire(reply: tuple) -> tuple:
-        # "poll_ok" is internal (distinguishes a False poll result from
-        # "park me"); on the wire both flavors are plain ("ok", ...)
-        return ("ok", reply[1]) if reply[0] == "poll_ok" else reply
+                self._trace_wait(parked.worker.stage.name, parked.started,
+                                 self._BLOCKING[parked.kind])
+                self._reply(parked.worker, reply)
 
     # -- message handling -------------------------------------------------
 
@@ -749,14 +617,13 @@ class ProcessExecutor:
             if kind == "write" and not (len(msg) > 3 and msg[3]):
                 self._qparked.append((w, msg))
                 return
+        report = self._reports[w.stage.name]
         if kind == "state":
             # a quiesced worker's resume cursor (checkpoint phase 2)
             self._captured[w.stage.name] = msg[1]
-            return
-        report = self._reports[w.stage.name]
-        if kind == "energy":
-            report.commands += 1
-            self._energy += msg[1]
+            report.commands += msg[2]
+        elif kind == "energy":
+            self._charge(msg[1])
         elif kind == "segments":
             self._registry.register(msg[1])
         elif kind == "epoch":
@@ -776,7 +643,6 @@ class ProcessExecutor:
                 ts = min(w.epoch_rel + (ts - w.epoch_raw), self._now())
             self._trace(msg[1], stage=w.stage.name, ts=ts, **msg[3])
         elif kind == "write":
-            report.commands += 1
             leased = len(msg) > 3 and msg[3]
             if self._halted or self._stop_requested:
                 # mirror the threaded halt check before each command: a
@@ -797,8 +663,7 @@ class ProcessExecutor:
                 # writes never happen — drop them and deliver the
                 # error at the worker's next synchronous request
                 if not leased:
-                    error, w.pending_error = w.pending_error, None
-                    self._reply(w, error)
+                    self._reply_pending_error(w)
                 return
             result = self._do_write(w, msg[1], msg[2])
             if leased:
@@ -810,54 +675,39 @@ class ProcessExecutor:
             else:
                 self._reply(w, result + (self._write_credits(),))
         elif kind in ("wait", "poll", "emit", "recv"):
-            report.commands += 1
             if self._halted:
                 self._reply(w, ("halt",))
                 return
             if w.pending_error is not None:
-                error, w.pending_error = w.pending_error, None
-                self._reply(w, error)
+                self._reply_pending_error(w)
                 return
-            reply = self._service(w, kind, msg[1] if len(msg) > 1
-                                  else None)
+            payload = msg[1] if len(msg) > 1 else None
+            reply = self._service(w, kind, payload)
             if reply is None:
-                self._parked.append(_Parked(w, kind,
-                                            msg[1] if len(msg) > 1
-                                            else None, self._now()))
+                self._parked.append(_Parked(w, kind, payload, self._now()))
             else:
-                self._reply(w, self._wire(reply))
+                self._reply(w, reply)
         elif kind == "close_channel":
-            report.commands += 1
             if w.pending_error is not None and not self._halted:
-                error, w.pending_error = w.pending_error, None
-                self._reply(w, error)
+                self._reply_pending_error(w)
                 return
             w.stage.emit_to.close()
             self._reply(w, ("halt",) if self._halted else ("ok",))
         elif kind == "failed":
             w.pending_error = None
+            report.commands += msg[2]
             self._on_failure(w, RuntimeError(msg[1]), in_process=True)
-        elif kind in ("done", "degraded", "halted"):
-            self._on_terminal(w, kind)
+        elif kind in (DONE, EXHAUSTED, HALTED):
+            report.commands += msg[1]
+            w.terminal = True
+            self._finish(w.stage, kind)
         else:   # pragma: no cover - protocol invariant
             raise RuntimeError(
                 f"unknown worker message {msg!r} from {w.stage.name!r}")
 
-    def _on_terminal(self, w: _WorkerHandle, kind: str) -> None:
-        report = self._reports[w.stage.name]
-        w.terminal = True
-        if kind == "done" and not report.degraded:
-            self._trace("stage.finish", stage=w.stage.name,
-                        status="completed")
-            report.completed = True
-            self._seal_outputs(w.stage)
-        elif kind in ("done", "degraded"):
-            self._trace("stage.finish", stage=w.stage.name,
-                        status="degraded")
-            self._finish_degraded(w.stage, report)
-        else:
-            self._trace("stage.finish", stage=w.stage.name,
-                        status="halted")
+    def _reply_pending_error(self, w: _WorkerHandle) -> None:
+        error, w.pending_error = w.pending_error, None
+        self._reply(w, error)
 
     def _on_failure(self, w: _WorkerHandle, exc: BaseException,
                     in_process: bool) -> None:
@@ -869,31 +719,11 @@ class ProcessExecutor:
         re-fork from the parent's pristine stage copy.
         """
         stage = w.stage
-        report = self._reports[stage.name]
-        failures = report.record_failure(exc)
-        self._trace("stage.finish", stage=stage.name, status="error",
-                    error=repr(exc))
-        self._errors.append((stage.name, exc))
-        if self.stop is not None and self.stop.on_failure(stage.name,
-                                                          exc):
-            self._stop_requested = True
-            self._finish_degraded(stage, report)
-            w.terminal = True
-            if in_process:
-                self._reply(w, ("action", "halt", 0.0))
-            return
-        policy = resolve_policy(self.faults, stage.name)
-        action = policy.decide(failures)
-        if action == "restart" and stage.emit_to is not None:
-            # a streaming parent cannot be restarted (double counting)
-            action = "degrade"
-        if action == "restart" and self._halted:
-            action = "halt"
+        action, delay = self._dispose_failure(stage, exc,
+                                              halted=self._halted)
         if action == "restart":
-            delay = policy.restart_delay(failures)
-            self._trace("stage.restart", stage=stage.name,
-                        failures=failures, delay=delay)
             if in_process:
+                report = self._reports[stage.name]
                 report.attempts += 1
                 self._trace("stage.start", stage=stage.name,
                             attempt=report.attempts)
@@ -904,24 +734,11 @@ class ProcessExecutor:
         w.terminal = True
         if in_process:
             self._reply(w, ("action", action, 0.0))
-        if action == "fail":
-            report.failed = True
-            self._seal_outputs(stage)
-            self._initiate_halt()
-        else:   # degrade / halt
-            self._finish_degraded(stage, report)
-
-    def _finish_degraded(self, stage, report: StageReport) -> None:
-        report.degraded = True
         self._seal_outputs(stage)
-
-    def _seal_outputs(self, stage) -> None:
-        stage.output.seal()
-        if stage.emit_to is not None and not stage.emit_to.closed:
-            stage.emit_to.abort()
-        if isinstance(stage, SynchronousStage) \
-                and not stage.channel.closed:
-            stage.channel.abort()
+        if action == "stop":
+            self._stop_requested = True
+        elif action == "fail":
+            self._initiate_halt()
 
     # -- reactor loop ------------------------------------------------------
 
@@ -940,11 +757,9 @@ class ProcessExecutor:
         if w.terminal:
             return
         if self._halted:
-            # killed (or exiting) during shutdown: mirror the threaded
-            # executor's halted finish for stages cut short
+            # killed (or exiting) during shutdown: a stage cut short
             w.terminal = True
-            self._trace("stage.finish", stage=w.stage.name,
-                        status="halted")
+            self._finish(w.stage, HALTED)
             return
         self._on_failure(
             w, RuntimeError(
@@ -1101,69 +916,34 @@ class ProcessExecutor:
                 self._ckpt_event.set()
 
     def _ckpt_write(self, path: str) -> str:
-        """Assemble and write the checkpoint file (run is quiesced)."""
-        from ..ckpt.state import (STATUS_COMPLETED, STATUS_DEGRADED,
-                                  STATUS_FAILED, STATUS_LIVE,
-                                  assemble_payload, save_checkpoint)
+        """Assemble and write the checkpoint file (run is quiesced).
 
-        stages: dict[str, dict] = {}
-        for name, w in self._workers.items():
-            report = self._reports[name]
-            cursor = None
-            if not w.terminal:
-                # still running — stays LIVE even if the degraded flag
-                # is already set (final-after-abort); the flag rides
-                # along in the restored report.  A worker in re-fork
-                # backoff has no cursor: it resumes from a fresh
-                # generator, re-consuming current snapshots (same as a
-                # process-death restart would).
-                status = STATUS_LIVE
-                cursor = self._captured.get(name)
-            elif report.failed:
-                status = STATUS_FAILED
-            elif report.degraded:
-                status = STATUS_DEGRADED
-            else:
-                status = STATUS_COMPLETED
-            stages[name] = {"status": status, "cursor": cursor}
+        A worker in re-fork backoff is live without a cursor: it
+        resumes from a fresh generator, re-consuming current snapshots
+        (same as a process-death restart would)."""
+        if self._final_result is not None:
+            from ..ckpt.format import CheckpointError
+            raise CheckpointError("cannot checkpoint a collected run: its "
+                                  "shared-memory plane has been released")
+        stages = {name: self._stage_entry(name, not w.terminal,
+                                          self._captured.get(name))
+                  for name, w in self._workers.items()}
         # parent-side buffers hold slab descriptors, not arrays —
         # decode each into a real value for the checkpoint
         buffer_values = {name: self._decode(name)
                          for name in self._payloads}
-        records = list(self._timeline.records)
-        if self._resume is not None and self._resume.prefix.records:
-            records = self._resume.prefix.records + records
-        payload = assemble_payload(
-            self.graph, name=self.run_name, executor="process",
-            stages=stages, reports=self._reports, energy=self._energy,
-            timeline=Timeline(records), duration=self._now(),
-            stop=self.stop, buffer_values=buffer_values)
-        return save_checkpoint(path, payload, app_spec=self.app_spec)
+        return self._save_checkpoint(path, stages, self._now(),
+                                     buffer_values=buffer_values)
 
     def _checkpoint(self, path: str) -> str:
         """Request a checkpoint from the reactor and wait for it."""
-        from ..ckpt.format import CheckpointError
-
-        if self._reactor is None:
-            raise CheckpointError(
-                "cannot checkpoint: the run was never launched")
-        if self._stop_requested:
-            raise CheckpointError(
-                "cannot checkpoint a stopping run: shutdown seals "
-                "every buffer (checkpoint before request_stop)")
+        self._refuse_checkpoint(self._reactor is not None)
         if self._halted or not self._reactor.is_alive():
             # the run already wound down naturally: every stage is
             # terminal, so the capture is a plain read of parent-side
             # state once the reactor finishes its cleanup
             self._reactor.join(timeout=self.grace_s + 10.0)
-            if self._stop_requested:
-                raise CheckpointError(
-                    "cannot checkpoint a stopping run: shutdown seals "
-                    "every buffer (checkpoint before request_stop)")
-            if self._final_result is not None:
-                raise CheckpointError(
-                    "cannot checkpoint a collected run: its shared-"
-                    "memory plane has been released")
+            self._refuse_checkpoint(True)
             return self._ckpt_write(path)
         event = threading.Event()
         self._ckpt_event = event
@@ -1178,10 +958,6 @@ class ProcessExecutor:
         if self._ckpt_result is None:
             # reactor exited mid-request (run completed): capture the
             # final state directly — no concurrency left to manage
-            if self._final_result is not None:
-                raise CheckpointError(
-                    "cannot checkpoint a collected run: its shared-"
-                    "memory plane has been released")
             self._ckpt_request = None
             self._ckpt_phase = 0
             return self._ckpt_write(path)
@@ -1214,11 +990,6 @@ class ProcessExecutor:
             raise RuntimeError("executor was never launched")
         self._reactor.join(timeout=timeout_s)
         return not self._reactor.is_alive()
-
-    def _watch_name(self) -> str:
-        if len(self.watch) == 1:
-            return next(iter(self.watch))
-        return self.graph.terminal_buffer().name
 
     def _peek(self) -> Snapshot:
         name = self._watch_name()
@@ -1330,52 +1101,11 @@ class ProcessExecutor:
             self._join_all()
             self._ended_at = _time.perf_counter()
 
-    def _finalize(self) -> ThreadedResult:
-        """Assemble the result after the reactor has wound down."""
-        with self._final_lock:
-            if self._final_result is None:
-                ended = (self._ended_at if self._ended_at is not None
-                         else _time.perf_counter())
-                duration = ended - self._t0 + self._t_offset
-                if self._resume is not None \
-                        and self._resume.prefix.records:
-                    self._timeline = Timeline(
-                        self._resume.prefix.records
-                        + self._timeline.records)
-                if self._stop_requested:
-                    # same hygiene as ThreadedExecutor._shutdown_io:
-                    # nothing outside the executor may hang on a buffer
-                    # or channel no worker will ever touch again
-                    for b in self.graph.buffers.values():
-                        b.seal()
-                    for c in self.graph.channels.values():
-                        if not c.closed:
-                            c.abort()
-                completed = (all(r.completed
-                                 for r in self._reports.values())
-                             and not self._stop_requested)
-                final_values = {name: self._decode(name)
-                                for name in self.graph.buffers}
-                self._cleanup_plane()
-                self._final_result = ThreadedResult(
-                    timeline=self._timeline, duration=duration,
-                    completed=completed,
-                    stopped_early=self._stop_requested,
-                    final_values=final_values,
-                    errors=list(self._errors),
-                    stage_reports=dict(self._reports))
-            if self.strict:
-                unrecovered = [(n, r) for n, r in self._reports.items()
-                               if r.last_error is not None
-                               and not r.completed]
-                if unrecovered:
-                    name, _ = unrecovered[0]
-                    first = next(exc for sname, exc in self._errors
-                                 if sname == name)
-                    raise RuntimeError(
-                        f"stage {name!r} failed during process "
-                        f"execution: {first}") from first
-            return self._final_result
+    def _final_values(self) -> dict[str, Any]:
+        """Decode every buffer's last payload, then release the plane."""
+        values = {name: self._decode(name) for name in self.graph.buffers}
+        self._cleanup_plane()
+        return values
 
     def run(self, timeout_s: float | None = None) -> ThreadedResult:
         """Execute until completion, stop condition, or ``timeout_s``."""

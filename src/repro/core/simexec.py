@@ -15,8 +15,8 @@ picks up whichever newer version exists (asynchronous pipeline), and
 synchronous channels deliver every update in order with optional
 backpressure.
 
-Fault tolerance mirrors the threaded executor: a stage exception is
-retried (fresh generator, virtual-time backoff), degraded (output sealed
+Fault tolerance follows the shared rules of :mod:`repro.core.semantics`:
+a stage exception is retried (fresh generator, virtual-time backoff), degraded (output sealed
 at the last published version; downstream finishes on it), or — under
 the fail-fast default — halts the run, which still *returns* the partial
 timeline with per-stage :class:`~repro.core.faults.StageReport` records.
@@ -30,20 +30,20 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..hw.energy import EnergyMeter, EnergyTable
+from ..hw.energy import EnergyTable
 from .buffer import Snapshot
-from .channel import ChannelClosed, UpdateChannel
+from .channel import ChannelClosed
 from .controller import StopCondition
-from .faults import (FaultInjector, FaultPolicy, StageReport,
-                     resolve_policy)
+from .faults import FaultInjector, FaultPolicy, StageReport
 from .graph import AutomatonGraph
-from .recording import Timeline, WriteRecord
+from .recording import Timeline
 from .scheduling import SchedulingPolicy, proportional_shares
+from .semantics import (DONE, EXHAUSTED, ResultView, StageRules,
+                        compute_energy, grant_lease, poll_inputs, try_wait)
 from .stage import (CHANNEL_END, CloseChannel, Compute, Emit, Lease,
-                    PollInputs,
-                    Recv, Stage, WaitInputs, Write)
+                    PollInputs, Recv, Stage, WaitInputs, Write)
 from .syncstage import SynchronousStage
-from .tracing import TraceEvent, TraceSink, active_sink
+from .tracing import TraceSink
 
 __all__ = ["SimResult", "SimulatedExecutor", "ExecutionError"]
 
@@ -76,7 +76,7 @@ _NO_PENDING = object()
 
 
 @dataclass
-class SimResult:
+class SimResult(ResultView):
     """Outcome of one simulated run.
 
     ``completed`` means every stage ran to its natural end without
@@ -93,18 +93,6 @@ class SimResult:
     final_values: dict[str, Any] = field(default_factory=dict)
     errors: list[tuple[str, BaseException]] = field(default_factory=list)
     stage_reports: dict[str, StageReport] = field(default_factory=dict)
-
-    def output_records(self, buffer: str) -> list[WriteRecord]:
-        return self.timeline.for_buffer(buffer)
-
-    @property
-    def degraded_stages(self) -> list[str]:
-        return sorted(n for n, r in self.stage_reports.items()
-                      if r.degraded)
-
-    @property
-    def failed_stages(self) -> list[str]:
-        return sorted(n for n, r in self.stage_reports.items() if r.failed)
 
 
 class _Process:
@@ -126,7 +114,7 @@ class _Process:
         self.span_open = False                  # a stage.start lacks its E
 
 
-class SimulatedExecutor:
+class SimulatedExecutor(StageRules):
     """Runs an :class:`AutomatonGraph` under virtual time.
 
     Parameters
@@ -185,6 +173,8 @@ class SimulatedExecutor:
         quiesced state — so the capture is synchronous and exact.
     """
 
+    label = "simulated"
+
     def __init__(self, graph: AutomatonGraph,
                  total_cores: float = 32.0,
                  schedule: SchedulingPolicy | dict[str, float]
@@ -202,12 +192,13 @@ class SimulatedExecutor:
                  lease_k: int = 8,
                  resume: Any = None,
                  checkpoint_at_stop: str | None = None) -> None:
-        if lease_k < 1:
-            raise ValueError(f"lease_k must be >= 1, got {lease_k}")
-        self.lease_k = int(lease_k)
+        super().__init__(graph, stop=stop, watch=watch, faults=faults,
+                         injector=injector, strict=strict, trace=trace,
+                         trace_metric=trace_metric,
+                         trace_reference=trace_reference, lease_k=lease_k,
+                         resume=resume)
         if total_cores <= 0:
             raise ValueError(f"total_cores must be positive: {total_cores}")
-        self.graph = graph
         #: when True, cores are reassigned dynamically: the policy's
         #: shares become *weights* and the machine is divided among the
         #: stages computing at each instant (generalized processor
@@ -223,269 +214,167 @@ class SimulatedExecutor:
             if share is None or share <= 0:
                 raise ValueError(
                     f"stage {stage.name!r} has no positive core share")
-        self.stop = stop
-        if watch is None:
-            terminals = graph.terminal_stages()
-            watch = {terminals[0].output.name} if len(terminals) == 1 \
-                else {t.output.name for t in terminals}
-        self.watch = set(watch)
-        self.faults = faults
-        self.injector = injector
-        self.strict = strict
-        self.sink = active_sink(trace)
-        self.trace_metric = trace_metric
-        self.trace_reference = trace_reference
-        self.meter = EnergyMeter(table=energy_table or EnergyTable())
-        # -- checkpoint/restore (repro.ckpt) -----------------------------
-        self.run_name = "automaton"
-        self.app_spec: dict[str, Any] | None = None
-        self._resume = resume
+        self.meter.table = energy_table or EnergyTable()
         self.checkpoint_at_stop = checkpoint_at_stop
-        if resume is not None:
-            self.meter.charge(resume.energy)
-            from ..ckpt.state import restore_stop
-            restore_stop(self.stop, resume.stop)
+        # reports in stage-name order; a fresh run's stages all start
+        self._reports = dict(sorted(self._reports.items()))
+        if resume is None:
+            for report in self._reports.values():
+                report.attempts = 1
+        # -- event-loop state ------------------------------------------
+        self._clock = self._t_offset   # virtual time (resumed: continued)
+        self._heap: list[tuple[float, int, str, Any]] = []
+        self._seq = 0
+        self._procs: dict[str, _Process] = {}
+        self._waiters: dict[str, list[_Process]] = {}
+        self._consumer: dict[int, _Process] = {}
+        self._producer: dict[int, _Process] = {}
+        self._pool = None
+        self._stopped = False
+        self._failed = False
+
+    # -- clock and blocking ------------------------------------------------
+
+    def _now(self) -> float:
+        return self._clock
+
+    def _schedule(self, proc: _Process, at: float, payload: Any) -> None:
+        heapq.heappush(self._heap, (at, self._seq, proc.stage.name,
+                                    payload))
+        self._seq += 1
+
+    def _trace_start(self, proc: _Process, attempt: int) -> None:
+        proc.span_open = True
+        self._trace("stage.start", stage=proc.stage.name, attempt=attempt)
+
+    def _trace_finish(self, proc: _Process, status: str) -> None:
+        if proc.span_open:
+            proc.span_open = False
+            self._trace("stage.finish", stage=proc.stage.name,
+                        status=status)
+
+    def _begin_wait(self, proc: _Process, kind: str) -> None:
+        proc.wait_started = self._clock
+        proc.wait_kind = kind
+
+    def _end_wait(self, proc: _Process) -> None:
+        if proc.wait_started is not None:
+            self._trace_wait(proc.stage.name, proc.wait_started,
+                             proc.wait_kind)
+            proc.wait_started = None
+
+    def _wake_recv(self, channel) -> None:
+        """Hand a closed, drained channel's end to its blocked consumer."""
+        consumer = self._consumer[id(channel)]
+        if consumer.waiting_recv and len(channel) == 0:
+            consumer.waiting_recv = False
+            self._end_wait(consumer)
+            self._schedule(consumer, self._clock, CHANNEL_END)
+
+    def _seal_outputs(self, stage: Stage) -> None:
+        """Seal, then release anyone blocked on what the stage feeds, so
+        degradation cascades instead of wedging."""
+        super()._seal_outputs(stage)
+        for waiter in self._waiters.pop(stage.output.name, []):
+            if not waiter.done:
+                self._schedule(waiter, self._clock, _WAKE)
+        if stage.emit_to is not None:
+            self._wake_recv(stage.emit_to)
+        if isinstance(stage, SynchronousStage):
+            producer = self._producer.get(id(stage.channel))
+            if producer is not None \
+                    and producer.waiting_emit is not _NO_PENDING:
+                # The pending update is lost with the stream; resume the
+                # producer so its next emit observes the abort.
+                producer.waiting_emit = _NO_PENDING
+                self._end_wait(producer)
+                self._schedule(producer, self._clock, None)
+
+    # -- stage endings ---------------------------------------------------------
+
+    def _finish_degraded(self, proc: _Process) -> None:
+        proc.done = True
+        proc.waiting_inputs = None
+        proc.waiting_recv = False
+        self._end_wait(proc)
+        self._reports[proc.stage.name].degraded = True
+        self._trace_finish(proc, "degraded")
+        proc.gen.close()
+        self._seal_outputs(proc.stage)
+
+    def _fail(self, proc: _Process, exc: BaseException) -> None:
+        """Apply the stage's fault policy to a raised command."""
+        name = proc.stage.name
+        proc.span_open = False   # the disposition closes the span
+        action, delay = self._dispose_failure(proc.stage, exc)
+        try:
+            proc.gen.close()
+        except RuntimeError:   # pragma: no cover - defensive
+            pass
+        if action == "restart":
+            report = self._reports[name]
+            report.attempts += 1
+            gen = proc.stage.body()
+            if self.injector is not None:
+                gen = self.injector.wrap(name, gen)
+            proc.gen = gen
+            proc.waiting_inputs = None
+            proc.waiting_recv = False
+            proc.waiting_emit = _NO_PENDING
+            proc.wait_started = None
+            self._trace_start(proc, report.attempts)
+            self._schedule(proc, self._clock + delay, None)
+        elif action == "fail":
+            proc.done = True
+            self._seal_outputs(proc.stage)
+            self._failed = True
+        else:
+            self._finish_degraded(proc)
+            if action == "stop":
+                self._stopped = True
 
     # -- kernel ----------------------------------------------------------
 
     def run(self) -> SimResult:
-        procs = {s.name: _Process(s) for s in self.graph.stages}
+        procs = self._procs = {s.name: _Process(s)
+                               for s in self.graph.stages}
         if self._resume is not None:
-            reports = self._resume.seed_reports(sorted(procs))
             for fname in self._resume.finished:
                 # restored terminal stage: its buffer ladder (and seal /
                 # final flags) came back with the graph state; it never
                 # enters the event loop
                 procs[fname].done = True
-        else:
-            reports = {name: StageReport(stage=name, attempts=1)
-                       for name in procs}
-        errors: list[tuple[str, BaseException]] = []
         if self.injector is not None:
             for name, p in procs.items():
                 p.gen = self.injector.wrap(name, p.gen)
-        channel_consumer: dict[int, _Process] = {}
-        channel_producer: dict[int, _Process] = {}
         for p in procs.values():
             if isinstance(p.stage, SynchronousStage):
-                channel_consumer[id(p.stage.channel)] = p
+                self._consumer[id(p.stage.channel)] = p
             if p.stage.emit_to is not None:
-                channel_producer[id(p.stage.emit_to)] = p
-        buffer_waiters: dict[str, list[_Process]] = {}
-
-        timeline = Timeline()
-        heap: list[tuple[float, int, str, Any]] = []
-        seq = 0
-        # a resumed run continues the interrupted run's virtual clock
-        t0 = (self._resume.duration if self._resume is not None else 0.0)
+                self._producer[id(p.stage.emit_to)] = p
         for name in sorted(procs):
-            if procs[name].done:
-                continue
-            heapq.heappush(heap, (t0, seq, name, None))
-            seq += 1
-        now = t0
-        stopped = False
-        failed = False
-        pool = None
+            if not procs[name].done:
+                self._schedule(procs[name], self._clock, None)
         if self.dynamic_shares:
             from .procsharing import ProcessorPool
 
-            pool = ProcessorPool(self.total_cores, self.shares)
+            self._pool = ProcessorPool(self.total_cores, self.shares)
+        pool = self._pool
         # Deadlines are enforced by the kernel itself: no event past the
         # deadline executes, so the timeline never contains an output
         # version the deadline would not actually have allowed.
         deadline = _find_deadline(self.stop)
-
-        # -- tracing -----------------------------------------------------
-        # Every hook below is a single `is None` check when tracing is
+        # Every trace hook is a single `is None` check when tracing is
         # off; the wait/span bookkeeping also feeds the StageReport
         # counters, which are maintained unconditionally (cheap).
-        sink = self.sink
+        self._install_hooks()
+        for name in sorted(procs):
+            if not procs[name].done:
+                self._trace_start(procs[name],
+                                  max(1, self._reports[name].attempts))
 
-        def emit(kind: str, stage: str | None = None,
-                 target: str | None = None, **args: Any) -> None:
-            sink.emit(TraceEvent(now, kind, stage=stage, target=target,
-                                 args=args))
-
-        if sink is not None:
-            chan_stage: dict[tuple[str, str], str] = {}
-            for p in procs.values():
-                if p.stage.emit_to is not None:
-                    chan_stage[(p.stage.emit_to.name, "out")] = \
-                        p.stage.name
-                if isinstance(p.stage, SynchronousStage):
-                    chan_stage[(p.stage.channel.name, "in")] = \
-                        p.stage.name
-
-            def _buffer_hook(kind: str, name: str, **args: Any) -> None:
-                emit(kind, stage=args.pop("writer", None), target=name,
-                     **args)
-
-            def _channel_hook(kind: str, name: str, **args: Any) -> None:
-                side = "in" if kind == "channel.recv" else "out"
-                emit(kind, stage=chan_stage.get((name, side)),
-                     target=name, **args)
-
-            for b in self.graph.buffers.values():
-                b.tracer = _buffer_hook
-            for p in procs.values():
-                if p.stage.emit_to is not None:
-                    p.stage.emit_to.tracer = _channel_hook
-            if self.injector is not None:
-                self.injector.tracer = (
-                    lambda s, c, k: emit("fault.injected", stage=s,
-                                         at=c, fault=k))
-
-        def trace_start(proc: _Process, attempt: int) -> None:
-            proc.span_open = True
-            if sink is not None:
-                emit("stage.start", stage=proc.stage.name,
-                     attempt=attempt)
-
-        def trace_finish(proc: _Process, status: str,
-                         **args: Any) -> None:
-            if not proc.span_open:
-                return
-            proc.span_open = False
-            if sink is not None:
-                emit("stage.finish", stage=proc.stage.name,
-                     status=status, **args)
-
-        def begin_wait(proc: _Process, kind: str) -> None:
-            proc.wait_started = now
-            proc.wait_kind = kind
-
-        def end_wait(proc: _Process) -> None:
-            if proc.wait_started is None:
-                return
-            elapsed = now - proc.wait_started
-            reports[proc.stage.name].record_wait(elapsed)
-            if sink is not None:
-                sink.emit(TraceEvent(
-                    proc.wait_started, "stage.wait",
-                    stage=proc.stage.name,
-                    args={"dur": elapsed, "wait": proc.wait_kind}))
-            proc.wait_started = None
-
-        def snapshots(stage: Stage) -> dict[str, Snapshot]:
-            return {b.name: b.snapshot() for b in stage.inputs}
-
-        def wait_satisfied(stage: Stage, seen: dict[str, int],
-                           ) -> dict[str, Snapshot] | None:
-            snaps = snapshots(stage)
-            if not snaps:
-                return snaps
-            if any(s.empty for s in snaps.values()):
-                return None
-            if any(s.version > seen.get(n, 0) for n, s in snaps.items()):
-                return snaps
-            return None
-
-        def schedule(proc: _Process, at: float, payload: Any) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (at, seq, proc.stage.name, payload))
-            seq += 1
-
-        def inputs_exhausted(stage: Stage) -> bool:
-            """An unsatisfied wait that can never be satisfied: an input
-            is empty and sealed (producer died before publishing), or
-            every input is frozen (final or sealed)."""
-            snaps = snapshots(stage)
-            if not snaps:
-                return False
-            if any(s.empty and s.sealed for s in snaps.values()):
-                return True
-            return all(s.exhausted for s in snaps.values())
-
-        def seal_and_wake(proc: _Process) -> None:
-            """Freeze everything the stage feeds and release anyone
-            blocked on it, so degradation cascades instead of wedging."""
-            stage = proc.stage
-            stage.output.seal()
-            for waiter in buffer_waiters.pop(stage.output.name, []):
-                if not waiter.done:
-                    schedule(waiter, now, _WAKE)
-            if stage.emit_to is not None and not stage.emit_to.closed:
-                stage.emit_to.abort()
-                consumer = channel_consumer[id(stage.emit_to)]
-                if consumer.waiting_recv and len(stage.emit_to) == 0:
-                    consumer.waiting_recv = False
-                    end_wait(consumer)
-                    schedule(consumer, now, CHANNEL_END)
-            if isinstance(stage, SynchronousStage) \
-                    and not stage.channel.closed:
-                stage.channel.abort()
-                producer = channel_producer.get(id(stage.channel))
-                if producer is not None \
-                        and producer.waiting_emit is not _NO_PENDING:
-                    # The pending update is lost with the stream; resume
-                    # the producer so its next emit observes the abort.
-                    producer.waiting_emit = _NO_PENDING
-                    end_wait(producer)
-                    schedule(producer, now, None)
-
-        def finish_degraded(proc: _Process) -> None:
-            proc.done = True
-            proc.waiting_inputs = None
-            proc.waiting_recv = False
-            end_wait(proc)
-            reports[proc.stage.name].degraded = True
-            trace_finish(proc, "degraded")
-            proc.gen.close()
-            seal_and_wake(proc)
-
-        def handle_failure(proc: _Process, exc: BaseException) -> str:
-            """Apply the stage's fault policy; returns the action taken
-            ("restarted", "degraded", "failed" or "stopped")."""
-            name = proc.stage.name
-            report = reports[name]
-            failures = report.record_failure(exc)
-            errors.append((name, exc))
-            trace_finish(proc, "error", error=repr(exc))
-            try:
-                proc.gen.close()
-            except RuntimeError:   # pragma: no cover - defensive
-                pass
-            if self.stop is not None \
-                    and self.stop.on_failure(name, exc):
-                finish_degraded(proc)
-                return "stopped"
-            policy = resolve_policy(self.faults, name)
-            action = policy.decide(failures)
-            if action == "restart" and proc.stage.emit_to is not None:
-                # A streaming parent must not re-emit updates the
-                # consumer already folded; degrade instead.
-                action = "degrade"
-            if action == "restart":
-                report.attempts += 1
-                gen = proc.stage.body()
-                if self.injector is not None:
-                    gen = self.injector.wrap(name, gen)
-                proc.gen = gen
-                proc.waiting_inputs = None
-                proc.waiting_recv = False
-                proc.waiting_emit = _NO_PENDING
-                proc.wait_started = None
-                delay = policy.restart_delay(failures)
-                if sink is not None:
-                    emit("stage.restart", stage=name, failures=failures,
-                         delay=delay)
-                trace_start(proc, report.attempts)
-                schedule(proc, now + delay, None)
-                return "restarted"
-            if action == "fail":
-                report.failed = True
-                proc.done = True
-                seal_and_wake(proc)
-                return "failed"
-            finish_degraded(proc)
-            return "degraded"
-
-        for pname in sorted(procs):
-            if not procs[pname].done:
-                trace_start(procs[pname], max(1, reports[pname].attempts))
-
-        while not stopped and not failed:
+        heap = self._heap
+        while not self._stopped and not self._failed:
             # Pick the next event: the heap's head or, under dynamic
             # sharing, the processor pool's earliest compute completion.
             heap_time = heap[0][0] if heap else None
@@ -496,14 +385,14 @@ class SimulatedExecutor:
                 heap_time is None or completion[0] < heap_time)
             next_time = completion[0] if use_pool else heap_time
             if deadline is not None and next_time > deadline:
-                stopped = True
+                self._stopped = True
                 break
             if use_pool:
-                now, name = completion
-                pool.complete(name, now)
+                self._clock, name = completion
+                pool.complete(name, self._clock)
                 payload = None
             else:
-                now, _, name, payload = heapq.heappop(heap)
+                self._clock, _, name, payload = heapq.heappop(heap)
             proc = procs[name]
             if proc.done:
                 continue
@@ -515,205 +404,147 @@ class SimulatedExecutor:
                 # producers frozen) finishes the stage degraded.
                 if proc.waiting_inputs is None:
                     continue
-                snaps = wait_satisfied(proc.stage, proc.waiting_inputs)
-                if snaps is None:
-                    if inputs_exhausted(proc.stage):
-                        proc.waiting_inputs = None
-                        finish_degraded(proc)
+                payload = try_wait(proc.stage, proc.waiting_inputs)
+                if payload is None:
                     continue
                 proc.waiting_inputs = None
-                end_wait(proc)
-                payload = snaps
-            send_value = payload
-            while True:
-                try:
-                    cmd = proc.gen.send(send_value)
-                except StopIteration:
-                    proc.done = True
-                    if not reports[name].degraded:
-                        reports[name].completed = True
-                    trace_finish(proc, "degraded"
-                                 if reports[name].degraded
-                                 else "completed")
-                    seal_and_wake(proc)
-                    break
-                except BaseException as exc:   # noqa: BLE001 - policy
-                    action = handle_failure(proc, exc)
-                    if action == "failed":
-                        failed = True
-                    elif action == "stopped":
-                        stopped = True
-                    break
-                send_value = None
-                reports[name].commands += 1
-                if isinstance(cmd, Compute):
-                    self.meter.charge(cmd.energy if cmd.energy is not None
-                                      else cmd.cost)
-                    if pool is not None:
-                        pool.start(name, cmd.cost, now)
-                    else:
-                        schedule(proc, now + cmd.cost / self.shares[name],
-                                 None)
-                    break
-                elif isinstance(cmd, Write):
-                    stage = proc.stage
-                    final = cmd.final
-                    if final and isinstance(stage, SynchronousStage) \
-                            and stage.channel.aborted:
-                        # The update stream was cut short: the aggregate
-                        # is an approximation, not the precise output.
-                        final = False
-                        reports[name].degraded = True
-                    try:
-                        version = stage.output.write(
-                            cmd.value, final, writer=stage.name,
-                            transfer=cmd.transfer)
-                    except ValueError as exc:
-                        action = handle_failure(proc, exc)
-                        if action == "failed":
-                            failed = True
-                        elif action == "stopped":
-                            stopped = True
-                        break
-                    watched = stage.output.name in self.watch
-                    record = WriteRecord(
-                        now, stage.output.name, version, final,
-                        self.meter.total,
-                        cmd.value if watched else None)
-                    timeline.add(record)
-                    if sink is not None and watched \
-                            and self.trace_metric is not None:
-                        emit("accuracy.sample", stage=stage.name,
-                             target=stage.output.name,
-                             accuracy=float(self.trace_metric(
-                                 cmd.value, self.trace_reference)),
-                             version=version)
-                    for waiter in buffer_waiters.pop(
-                            stage.output.name, []):
-                        if not waiter.done:
-                            schedule(waiter, now, _WAKE)
-                    if watched and self.stop is not None \
-                            and self.stop.should_stop(record):
-                        stopped = True
-                        break
-                elif isinstance(cmd, WaitInputs):
-                    snaps = wait_satisfied(proc.stage, cmd.seen)
-                    if snaps is not None:
-                        send_value = snaps
-                        continue
-                    if inputs_exhausted(proc.stage):
-                        finish_degraded(proc)
-                        break
-                    proc.waiting_inputs = dict(cmd.seen)
-                    begin_wait(proc, "inputs")
-                    for b in proc.stage.inputs:
-                        buffer_waiters.setdefault(b.name, []).append(proc)
-                    break
-                elif isinstance(cmd, PollInputs):
-                    send_value = wait_satisfied(
-                        proc.stage, cmd.seen) is not None
-                elif isinstance(cmd, Lease):
-                    send_value = max(1, min(cmd.want, self.lease_k))
-                elif isinstance(cmd, Emit):
-                    channel = proc.stage.emit_to
-                    assert channel is not None
-                    if not channel.closed and channel.full:
-                        proc.waiting_emit = cmd.update
-                        begin_wait(proc, "emit")
-                        break
-                    try:
-                        channel.emit(cmd.update)
-                    except ChannelClosed as exc:
-                        # The consumer died and aborted the stream.
-                        action = handle_failure(proc, exc)
-                        if action == "failed":
-                            failed = True
-                        elif action == "stopped":
-                            stopped = True
-                        break
-                    consumer = channel_consumer[id(channel)]
-                    if consumer.waiting_recv:
-                        consumer.waiting_recv = False
-                        end_wait(consumer)
-                        ok, update = channel.try_recv()
-                        assert ok
-                        schedule(consumer, now, update)
-                elif isinstance(cmd, CloseChannel):
-                    channel = proc.stage.emit_to
-                    assert channel is not None
-                    channel.close()
-                    consumer = channel_consumer[id(channel)]
-                    if consumer.waiting_recv and len(channel) == 0:
-                        consumer.waiting_recv = False
-                        end_wait(consumer)
-                        schedule(consumer, now, CHANNEL_END)
-                elif isinstance(cmd, Recv):
-                    channel = proc.stage.channel  # type: ignore[attr-defined]
-                    was_full = channel.full
-                    try:
-                        ok, update = channel.try_recv()
-                    except ChannelClosed:
-                        send_value = CHANNEL_END
-                        continue
-                    if ok:
-                        send_value = update
-                        if was_full:
-                            producer = channel_producer[id(channel)]
-                            pending = producer.waiting_emit
-                            if pending is not _NO_PENDING:
-                                producer.waiting_emit = _NO_PENDING
-                                end_wait(producer)
-                                channel.emit(pending)
-                                schedule(producer, now, None)
-                        continue
-                    proc.waiting_recv = True
-                    begin_wait(proc, "recv")
-                    break
-                else:
-                    raise ExecutionError(
-                        f"stage {name!r} yielded unknown command "
-                        f"{cmd!r}")
+                if payload is EXHAUSTED:
+                    self._finish_degraded(proc)
+                    continue
+                self._end_wait(proc)
+            self._step(proc, payload)
 
         undone = [n for n, p in procs.items() if not p.done]
-        if undone and not stopped and not failed and not heap:
+        if undone and not self._stopped and not self._failed and not heap:
             raise ExecutionError(
                 f"execution wedged; blocked stages: {undone}")
         # Close any span left open by a stop / halt so a Chrome trace
         # always carries matched B/E pairs.
         for proc in procs.values():
-            trace_finish(proc, "stopped" if stopped else "halted")
-        if self._resume is not None and self._resume.prefix.records:
-            timeline = Timeline(self._resume.prefix.records
-                                + timeline.records)
+            self._trace_finish(proc,
+                               "stopped" if self._stopped else "halted")
         if self.checkpoint_at_stop is not None:
-            self._write_checkpoint(self.checkpoint_at_stop, procs,
-                                   reports, timeline, now, heap)
-        completed = (not stopped
-                     and all(r.completed for r in reports.values()))
-        if self.strict:
-            unrecovered = [n for n, r in reports.items()
-                           if r.last_error is not None
-                           and not r.completed]
-            if unrecovered:
-                first = next(exc for n, exc in errors
-                             if n == unrecovered[0])
-                raise ExecutionError(
-                    f"stage {unrecovered[0]!r} failed during simulated "
-                    f"execution: {first}") from first
+            self._write_checkpoint(self.checkpoint_at_stop)
+        completed = self._completed(self._stopped)
+        self._raise_if_strict(ExecutionError)
         final_values = {b.name: b.snapshot().value
                         for b in self.graph.buffers.values()}
-        return SimResult(timeline=timeline, duration=now,
-                         energy=self.meter.total, completed=completed,
-                         stopped_early=stopped, shares=dict(self.shares),
-                         final_values=final_values, errors=errors,
-                         stage_reports=reports)
+        return SimResult(timeline=self._whole_timeline(),
+                         duration=self._clock, energy=self.meter.total,
+                         completed=completed, stopped_early=self._stopped,
+                         shares=dict(self.shares),
+                         final_values=final_values, errors=self._errors,
+                         stage_reports=self._reports)
+
+    def _step(self, proc: _Process, send_value: Any) -> None:
+        """Run one stage's coroutine from an event until it blocks."""
+        name = proc.stage.name
+        stage = proc.stage
+        report = self._reports[name]
+        now = self._clock
+        while True:
+            try:
+                cmd = proc.gen.send(send_value)
+            except StopIteration:
+                proc.done = True
+                proc.span_open = False   # _finish closes the span
+                self._finish(stage, DONE)
+                return
+            except BaseException as exc:   # noqa: BLE001 - policy
+                self._fail(proc, exc)
+                return
+            send_value = None
+            report.commands += 1
+            if isinstance(cmd, Compute):
+                self._charge(compute_energy(cmd))
+                if self._pool is not None:
+                    self._pool.start(name, cmd.cost, now)
+                else:
+                    self._schedule(proc, now + cmd.cost / self.shares[name],
+                                   None)
+                return
+            elif isinstance(cmd, Write):
+                try:
+                    stop = self._write(stage, cmd.value, cmd.final,
+                                       cmd.transfer)
+                except ValueError as exc:
+                    self._fail(proc, exc)
+                    return
+                for waiter in self._waiters.pop(stage.output.name, []):
+                    if not waiter.done:
+                        self._schedule(waiter, now, _WAKE)
+                if stop:
+                    self._stopped = True
+                    return
+            elif isinstance(cmd, WaitInputs):
+                send_value = try_wait(stage, cmd.seen)
+                if send_value is EXHAUSTED:
+                    self._finish_degraded(proc)
+                    return
+                if send_value is not None:
+                    continue
+                proc.waiting_inputs = dict(cmd.seen)
+                self._begin_wait(proc, "inputs")
+                for b in stage.inputs:
+                    self._waiters.setdefault(b.name, []).append(proc)
+                return
+            elif isinstance(cmd, PollInputs):
+                send_value = poll_inputs(stage, cmd.seen)
+            elif isinstance(cmd, Lease):
+                send_value = grant_lease(cmd, self.lease_k)
+            elif isinstance(cmd, Emit):
+                channel = stage.emit_to
+                assert channel is not None
+                if not channel.closed and channel.full:
+                    proc.waiting_emit = cmd.update
+                    self._begin_wait(proc, "emit")
+                    return
+                try:
+                    channel.emit(cmd.update)
+                except ChannelClosed as exc:
+                    # The consumer died and aborted the stream.
+                    self._fail(proc, exc)
+                    return
+                consumer = self._consumer[id(channel)]
+                if consumer.waiting_recv:
+                    consumer.waiting_recv = False
+                    self._end_wait(consumer)
+                    ok, update = channel.try_recv()
+                    assert ok
+                    self._schedule(consumer, now, update)
+            elif isinstance(cmd, CloseChannel):
+                assert stage.emit_to is not None
+                stage.emit_to.close()
+                self._wake_recv(stage.emit_to)
+            elif isinstance(cmd, Recv):
+                channel = stage.channel  # type: ignore[attr-defined]
+                was_full = channel.full
+                try:
+                    ok, update = channel.try_recv()
+                except ChannelClosed:
+                    send_value = CHANNEL_END
+                    continue
+                if ok:
+                    send_value = update
+                    if was_full:
+                        producer = self._producer[id(channel)]
+                        pending = producer.waiting_emit
+                        if pending is not _NO_PENDING:
+                            producer.waiting_emit = _NO_PENDING
+                            self._end_wait(producer)
+                            channel.emit(pending)
+                            self._schedule(producer, now, None)
+                    continue
+                proc.waiting_recv = True
+                self._begin_wait(proc, "recv")
+                return
+            else:
+                raise ExecutionError(
+                    f"stage {name!r} yielded unknown command {cmd!r}")
 
     # -- checkpoint (repro.ckpt) -----------------------------------------
 
-    def _write_checkpoint(self, path: str, procs: dict[str, _Process],
-                          reports: dict[str, StageReport],
-                          timeline: Timeline, now: float,
-                          heap: list) -> str:
+    def _write_checkpoint(self, path: str) -> str:
         """Capture the run at the event loop's rest point.
 
         Virtual time needs no quiesce: between events nothing is
@@ -723,13 +554,9 @@ class SimulatedExecutor:
         delivered to its synchronous consumer; those are requeued into
         the checkpointed channel state so no stream element is lost.
         """
-        from ..ckpt.state import (STATUS_COMPLETED, STATUS_DEGRADED,
-                                  STATUS_FAILED, STATUS_LIVE,
-                                  assemble_payload, save_checkpoint)
-
         requeue: dict[str, list[Any]] = {}
-        for _at, _sq, pname, payload in sorted(heap):
-            p = procs[pname]
+        for _at, _sq, pname, payload in sorted(self._heap):
+            p = self._procs[pname]
             if p.done or not isinstance(p.stage, SynchronousStage):
                 continue
             if payload is None or payload is _WAKE \
@@ -739,28 +566,13 @@ class SimulatedExecutor:
                 continue
             requeue.setdefault(p.stage.channel.name, []).append(payload)
         stages: dict[str, dict[str, Any]] = {}
-        for pname, p in procs.items():
-            report = reports[pname]
+        for pname, p in self._procs.items():
             cursor = None
             if not p.done:
-                # note: a still-running stage may already carry the
-                # degraded flag (final-after-abort); it stays LIVE here
-                # — the flag rides along in its restored report
-                status = STATUS_LIVE
                 emitted = (p.stage.emit_to.emitted
                            if p.stage.emit_to is not None else 0)
                 cursor = p.stage.capture_state(p.stage.output.version,
                                                emitted)
-            elif report.failed:
-                status = STATUS_FAILED
-            elif report.degraded:
-                status = STATUS_DEGRADED
-            else:
-                status = STATUS_COMPLETED
-            stages[pname] = {"status": status, "cursor": cursor}
-        payload = assemble_payload(
-            self.graph, name=self.run_name, executor="simulated",
-            stages=stages, reports=reports, energy=self.meter.total,
-            timeline=timeline, duration=now, stop=self.stop,
-            channel_requeue=requeue)
-        return save_checkpoint(path, payload, app_spec=self.app_spec)
+            stages[pname] = self._stage_entry(pname, not p.done, cursor)
+        return self._save_checkpoint(path, stages, self._clock,
+                                     channel_requeue=requeue)

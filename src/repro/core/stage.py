@@ -271,6 +271,14 @@ class Stage:
             if inputs_final:
                 break
 
+    def drop_inputs(self) -> None:
+        """Forget the input snapshots of the current pass.
+
+        They are held only for :meth:`capture_state`; a process worker
+        drops them before unmapping the shared memory they view.
+        """
+        self._pass_snaps = None
+
     # -- checkpoint / restore ------------------------------------------
 
     def capture_state(self, written_total: int,

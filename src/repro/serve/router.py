@@ -217,6 +217,12 @@ class FleetRouter:
         self._trace_sink = trace
         self._links: list[_WorkerLink] = []
         self._lock = threading.RLock()
+        #: every submitted request not yet terminal, by rid; only
+        #: ``FleetRequest._finish`` (through its done callback) removes
+        #: an entry, so a request between a dead worker and its new
+        #: home still counts
+        self._outstanding: dict[int, FleetRequest] = {}
+        self._outstanding_lock = threading.Lock()
         self._rids = itertools.count(1)
         self._stats_rids = itertools.count(1)
         self._stats_waiters: dict[int, list[Any]] = {}
@@ -297,22 +303,32 @@ class FleetRouter:
                 pass
         with self._lock:
             for link in links:
-                for request in list(link.inflight.values()):
-                    request._finish({"state": "cancelled",
-                                     "errors": ["fleet shutdown"]})
                 link.inflight.clear()
+        with self._outstanding_lock:
+            remaining = list(self._outstanding.values())
+        for request in remaining:
+            request._finish({"state": "cancelled",
+                             "errors": ["fleet shutdown"]})
+
+    @property
+    def outstanding(self) -> int:
+        """Submitted requests not yet terminal."""
+        with self._outstanding_lock:
+            return len(self._outstanding)
 
     def drain(self, timeout_s: float | None = None) -> bool:
-        """Wait for every in-flight request to finish; True if it did."""
+        """Wait until every submitted request is terminal; True if so."""
         deadline = (None if timeout_s is None
                     else _time.monotonic() + timeout_s)
-        while True:
-            with self._lock:
-                if not any(link.inflight for link in self._links):
-                    return True
+        while self.outstanding:
             if deadline is not None and _time.monotonic() >= deadline:
                 return False
             _time.sleep(0.01)
+        return True
+
+    def _untrack(self, request: FleetRequest) -> None:
+        with self._outstanding_lock:
+            self._outstanding.pop(request.rid, None)
 
     # -- client API ------------------------------------------------------
 
@@ -323,6 +339,9 @@ class FleetRouter:
         key = spec_key(app, size, seed)
         request = FleetRequest(next(self._rids), app, size, seed,
                                slo or {}, key)
+        with self._outstanding_lock:
+            self._outstanding[request.rid] = request
+        request.add_done_callback(self._untrack)
         with self._lock:
             memo = self._memo_lookup(key)
             if memo is not None:

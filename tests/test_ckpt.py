@@ -414,6 +414,7 @@ class TestFleetRespawnAndMigration:
         the check and the kill): its orphaned requests restore on the
         replacement from the last checkpoint instead of starting over,
         and still finish with a valid answer."""
+        from repro.serve.fleet import ckpt_filename
         from repro.serve.router import FleetRouter, summarize_fleet
 
         config = {"slots": 1, "queue_limit": 6, "quantum_s": 0.02}
@@ -430,8 +431,13 @@ class TestFleetRespawnAndMigration:
                 for link in candidates:
                     os.kill(link.process.pid, signal.SIGSTOP)
                     workdir = tmp_path / f"w{link.index}"
-                    if (link.inflight and workdir.is_dir()
-                            and any(workdir.iterdir())):
+                    # a finished checkpoint of a request still in
+                    # flight here (a half-written .tmp is not one)
+                    with fleet._lock:
+                        pinned = {ckpt_filename(r.key)
+                                  for r in link.inflight.values()}
+                    if workdir.is_dir() and pinned & set(
+                            os.listdir(workdir)):
                         victim = link        # frozen, checkpoints pinned
                         break
                     os.kill(link.process.pid, signal.SIGCONT)

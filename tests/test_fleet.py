@@ -8,6 +8,8 @@ elsewhere, and every result carries a value digest so bit-identity can
 be asserted across the wire.
 """
 
+import os
+import signal
 import time
 
 import pytest
@@ -99,10 +101,24 @@ class TestFailover:
         with tiny_fleet(workers=3, respawn=False) as fleet:
             requests = [fleet.submit("2dconv", size=24, seed=i % 3,
                                      slo=SLO_OK) for i in range(9)]
-            time.sleep(0.05)
-            victim = next((l for l in fleet._links if l.inflight),
-                          fleet._links[0])
-            victim.process.terminate()
+            # Freeze a worker with SIGSTOP before reading its in-flight
+            # set, so none of its requests can finish between the check
+            # and the kill.
+            victim = None
+            deadline = time.monotonic() + 30.0
+            while victim is None and time.monotonic() < deadline:
+                with fleet._lock:
+                    candidates = [l for l in fleet._links if l.inflight]
+                for link in candidates:
+                    os.kill(link.process.pid, signal.SIGSTOP)
+                    if link.inflight:
+                        victim = link
+                        break
+                    os.kill(link.process.pid, signal.SIGCONT)
+                if victim is None:
+                    time.sleep(0.01)
+            assert victim is not None, "no worker held a request"
+            os.kill(victim.process.pid, signal.SIGKILL)
             assert fleet.drain(timeout_s=90.0)
             summary = summarize_fleet(requests)
             survivors = fleet.alive_workers()

@@ -399,3 +399,27 @@ class TestShutdownHygiene:
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+    def test_teardown_raises_no_unraisable_exceptions(self):
+        """Workers unmap their slabs only after dropping every zero-copy
+        view into them, so no ``SharedMemory.__del__`` reports an
+        ignored ``BufferError`` — in the parent or in any worker."""
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.apps.registry import get_app\n"
+            "for app in ('2dconv', 'kmeans', 'histeq'):\n"
+            "    spec = get_app(app)\n"
+            "    auto = spec.build(spec.make_input(64, 0))\n"
+            "    assert auto.run_processes(timeout_s=60.0).completed\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True,
+                              timeout=100)
+        assert proc.returncode == 0, proc.stderr
+        assert "Exception ignored" not in proc.stderr, proc.stderr

@@ -21,11 +21,12 @@ from repro.apps.pipeline_demo import build_organization
 from repro.core.automaton import AnytimeAutomaton
 from repro.core.buffer import VersionedBuffer
 from repro.core.channel import UpdateChannel
-from repro.core.executor import ThreadedExecutor
+from repro.core.executor import ThreadPort, ThreadedExecutor
 from repro.core.faults import FaultInjector, FaultPolicy, StageReport
 from repro.core.graph import AutomatonGraph
 from repro.core.iterative import AccuracyLevel, IterativeStage
 from repro.core.mapstage import MapStage
+from repro.core.semantics import pump
 from repro.core.stage import Emit, PreciseStage, Write
 from repro.core.tracing import (ChromeTraceSink, InMemorySink, JsonlSink,
                                 NullSink, TraceEvent, TraceSink,
@@ -340,6 +341,23 @@ class TestExecutorParity:
             assert equal(value, reference), \
                 f"{run} final output != precise reference"
 
+    @pytest.mark.parametrize("app", ["2dconv", "debayer", "dwt53"])
+    def test_command_counts_match(self, app):
+        """Every executor counts every command a stage yields, leases
+        included: the per-stage totals agree across all three."""
+        from repro.apps.registry import get_app
+
+        spec = get_app(app)
+        image = spec.make_input(64, 0)
+        totals = {}
+        for run in ("run_simulated", "run_threaded", "run_processes"):
+            kwargs = {} if run == "run_simulated" else {"timeout_s": 60.0}
+            result = getattr(spec.build(image), run)(**kwargs)
+            assert result.completed, f"{run} did not complete"
+            totals[run] = sum(r.commands
+                              for r in result.stage_reports.values())
+        assert len(set(totals.values())) == 1, totals
+
     def test_threaded_energy_matches_simulated(self):
         """Regression: the threaded timeline recorded 0.0 energy for
         every write, so its energy column disagreed with the simulated
@@ -360,7 +378,8 @@ class TestExecutorParity:
 class TestEmitHaltRegression:
     def test_halted_emit_stops_interpretation(self):
         """Regression: a halt during a blocked emit must stop the
-        generator at the emit — not drop the update and keep pumping."""
+        generator at the emit — not drop the update and keep pumping.
+        Drives the shared interpreter loop through the threaded port."""
         b_f = VersionedBuffer("F")
         b_g = VersionedBuffer("G")
         ch = UpdateChannel("F", capacity=1)
@@ -405,7 +424,7 @@ class TestEmitHaltRegression:
         timer = threading.Timer(0.05, executor._halt.set)
         timer.start()
         try:
-            outcome = executor._interpret(producer, gen())
+            outcome = pump(gen(), ThreadPort(executor, producer))
         finally:
             timer.cancel()
         assert outcome == "halted"
